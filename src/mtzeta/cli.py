@@ -25,10 +25,10 @@ from . import __version__
 from .bernprod import carlitz_product, expand_by_partitions, expand_by_subsets, naive_product
 from .dirichlet import character_identities, enumerate_characters, gauss_sum, mt_l_value
 from .mzvconvert import mt_to_mzv
-from .numerics import EvalConfig, mt_direct, mt_via_mzv
+from .numerics import _GUARD_BITS, EvalConfig, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
-from .symexpr import atom_from_json, atom_to_json, expr_from_json, expr_to_json
+from .symexpr import _frac_str, atom_from_json, atom_to_json, expr_from_json, expr_to_json
 
 SCHEMA = "mtzeta/1"
 
@@ -52,15 +52,6 @@ def _usage_error(msg: str) -> int:
     return 1
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
-_COMPLEX_RE = re.compile(
-    r"^\s*(?P<re>[+-]?\d+(?:\.\d+)?)?\s*(?:(?P<sign>[+-])\s*(?P<im>\d+(?:\.\d+)?)?\s*i)?\s*$"
-)
-
-
 def parse_complex(text: str) -> complex:
     """Accepts 'a', 'a+bi', 'a-bi', 'bi' with decimal components."""
     t = text.strip().replace(" ", "")
@@ -80,8 +71,12 @@ def parse_complex(text: str) -> complex:
     return complex(float(t), 0.0)
 
 
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
+def _nstr_parts(value: Any, digits: int, cfg: EvalConfig) -> tuple[str, str]:
+    """Real and imaginary parts of a kernel value, rounded to ``digits``
+    significant digits at the working precision the value was computed at."""
+    with mp.workprec(cfg.precision_bits + _GUARD_BITS):
+        v = mpc(value)
+        return mp.nstr(mp.re(v), digits), mp.nstr(mp.im(v), digits)
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str] | None = None) -> None:
@@ -210,7 +205,7 @@ def _cmd_characters(args) -> int:
     cfg = _cfg(args)
     rows = []
     for chi in chars:
-        tau = gauss_sum(chi, cfg)
+        tau_re, tau_im = _nstr_parts(gauss_sum(chi, cfg).value, 17, cfg)
         rows.append(
             {
                 "index": chi.index,
@@ -220,10 +215,7 @@ def _cmd_characters(args) -> int:
                 "angles": [
                     None if a is None else _frac_str(a) for a in chi.angles
                 ],
-                "gauss_sum": {
-                    "re": mp.nstr(mp.re(mpc(tau.value)), 17),
-                    "im": mp.nstr(mp.im(mpc(tau.value)), 17),
-                },
+                "gauss_sum": {"re": tau_re, "im": tau_im},
             }
         )
     payload = {
@@ -252,21 +244,20 @@ def _cmd_reduce(args) -> int:
         chi = _resolve_character(args.chi)
         cfg = _cfg(args)
         fam = character_identities(_parse_ints(args.s), chi, cfg)
+        family = []
+        for w, ident in fam:
+            w_re, w_im = _nstr_parts(w.value, 17, cfg)
+            family.append(
+                {
+                    "weight": {"re": w_re, "im": w_im, "bound": w.bound},
+                    "identity": identity_to_json(ident),
+                }
+            )
         payload = {
             "schema": SCHEMA,
             "kind": "weighted-identities",
             "chi": {"modulus": chi.modulus, "index": chi.index},
-            "family": [
-                {
-                    "weight": {
-                        "re": mp.nstr(mp.re(mpc(w.value)), 17),
-                        "im": mp.nstr(mp.im(mpc(w.value)), 17),
-                        "bound": w.bound,
-                    },
-                    "identity": identity_to_json(ident),
-                }
-                for w, ident in fam
-            ],
+            "family": family,
         }
         _emit(payload, args.format)
         return 0
@@ -358,13 +349,14 @@ def _cmd_eval(args) -> int:
         else:
             result = mt_direct(exps, colors, cfg, N=args.N)
             route = "direct"
+    value_re, value_im = _nstr_parts(result.value, 25, cfg)
     payload = {
         "schema": SCHEMA,
         "kind": "evaluation",
         "s": list(s),
         "route": route,
-        "value_re": mp.nstr(mp.re(mpc(result.value)), 25),
-        "value_im": mp.nstr(mp.im(mpc(result.value)), 25),
+        "value_re": value_re,
+        "value_im": value_im,
         "bound": result.bound,
     }
     _emit(payload, args.format, [f"{payload['value_re']} + {payload['value_im']} i  (bound {result.bound:.3e}, {route})"])

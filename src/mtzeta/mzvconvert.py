@@ -233,7 +233,9 @@ def mt_to_mzv(
     while stack:
         steps += 1
         if steps > _MAX_STEPS:
-            raise RuntimeError("rewriting did not terminate (bug)")
+            raise ValueError(
+                f"rewriting exceeded its budget of {_MAX_STEPS} steps"
+            )
         coeff, st, nxt = stack.pop()
         cid = _find_contraction(st)
         if cid is not None:

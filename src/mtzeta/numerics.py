@@ -35,17 +35,7 @@ from mpmath import mp, mpc, mpf
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
-from .symexpr import (
-    Atom,
-    EvenZeta,
-    Expr,
-    Lerch,
-    MTValue,
-    MZValue,
-    NumLerch,
-    NumMT,
-    NumMZV,
-)
+from .symexpr import Atom, EvenZeta, Expr, Lerch, MTValue, MZValue, atom_has_z
 
 __all__ = [
     "EvalConfig",
@@ -569,23 +559,6 @@ def mt_direct(
 # whole-expression evaluation
 
 
-def _to_numeric_atom(a: Atom) -> Atom:
-    """z-free symbolic atoms become their numeric counterparts."""
-    if isinstance(a, Lerch):
-        if a.exp.has_z:
-            raise ValueError(f"unsubstituted z in {a}")
-        return NumLerch(a.exp.const, a.color)
-    if isinstance(a, MTValue):
-        if any(e.has_z for e in a.exps):
-            raise ValueError(f"unsubstituted z in {a}")
-        return NumMT(tuple(e.const for e in a.exps), a.colors)
-    if isinstance(a, MZValue):
-        if any(e.has_z for e in a.exps):
-            raise ValueError(f"unsubstituted z in {a}")
-        return NumMZV(tuple(e.const for e in a.exps), a.colors)
-    return a
-
-
 def _is_int(v: Any) -> bool:
     return isinstance(v, int)
 
@@ -593,18 +566,23 @@ def _is_int(v: Any) -> bool:
 def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
     if isinstance(a, EvenZeta):
         return even_zeta(a.n, cfg)
-    if isinstance(a, NumLerch):
-        if a.color == 0 and _is_int(a.s):
-            return zeta_int(a.s, cfg)
-        return lerch_phi(a.s, a.color, cfg)
-    if isinstance(a, NumMZV):
-        if not all(_is_int(e) for e in a.exps):
+    if atom_has_z(a):
+        raise ValueError("unsubstituted z")
+    if isinstance(a, Lerch):
+        s = a.exp.const
+        if a.color == 0 and _is_int(s):
+            return zeta_int(s, cfg)
+        return lerch_phi(s, a.color, cfg)
+    if isinstance(a, MZValue):
+        exps = tuple(e.const for e in a.exps)
+        if not all(_is_int(e) for e in exps):
             raise ValueError(f"MZV evaluation needs integer exponents: {a}")
-        return mzv_eval(a.exps, a.colors, cfg)
-    if isinstance(a, NumMT):
-        if all(_is_int(e) and e >= 1 for e in a.exps):
-            return mt_via_mzv(a.exps, a.colors, cfg)
-        return mt_direct(a.exps, a.colors, cfg)
+        return mzv_eval(exps, a.colors, cfg)
+    if isinstance(a, MTValue):
+        exps = tuple(e.const for e in a.exps)
+        if all(_is_int(e) and e >= 1 for e in exps):
+            return mt_via_mzv(exps, a.colors, cfg)
+        return mt_direct(exps, a.colors, cfg)
     raise TypeError(f"cannot evaluate atom {a!r}")
 
 
@@ -641,11 +619,8 @@ def eval_expr(
     """
     if z0 is not None:
         e = e.substitute(z0)
-    terms = [
-        (coeff, tuple(_to_numeric_atom(a) for a in atoms))
-        for atoms, coeff in e.items()
-    ]
-    distinct = {a for _, atoms in terms for a in atoms}
+    terms = list(e.items())
+    distinct = {a for atoms, _ in terms for a in atoms}
 
     results: dict[Atom, EvalResult] = {}
 
@@ -668,7 +643,7 @@ def eval_expr(
     prec = cfg.precision_bits + _GUARD_BITS
     with _mp_lock, mp.workprec(prec):
         total = EvalResult(mpc(0), 0.0)
-        for coeff, atoms in terms:
+        for atoms, coeff in terms:
             term = EvalResult(mpc(1), 0.0)
             for a in atoms:
                 term = _ev_mul(term, results[a])

@@ -3,8 +3,9 @@
 The central object is the expression E(s, i, alpha) attached to a subset i
 of the first k slots: a sum over pre-fat partitions of s(i) and their
 dependent index sets, whose terms are products of even zeta values, a
-parity-filtered zeta per non-last part, and a single lower-depth MT value
-carrying the symbolic variable z.  The cyclic-sum identity states
+parity-filtered zeta per non-last part (zeta(m) for even m; odd m kills
+the term), and a single lower-depth MT value carrying the symbolic
+variable z.  The cyclic-sum identity states
 
     (-1)^(k+|s|) MT(s, z; 0..0, alpha)
       + sum_j (-1)^(s_j) MT(s with z at slot j, s_j; alpha at slot j)
@@ -31,7 +32,7 @@ import numpy as np
 from .exact import binomial, multinomial
 from .numerics import DEFAULT_CONFIG, EvalConfig, EvalResult, eval_expr
 from .partitions import PartitionKind, enumerate_partitions, index_assignments
-from .symexpr import Atom, EvenZeta, Expr, TildeZeta, Z, lerch, mt_value
+from .symexpr import Atom, EvenZeta, Expr, Z, lerch, mt_value
 
 __all__ = [
     "Identity",
@@ -90,6 +91,9 @@ def subset_reduction(
     Every term is (-1)^(|s(i)|) 2^(|i|-q) times a product of per-index
     factors [C(A-1, s-1) + C(A-1, s-2r)] zeta(2r), a parity-filtered zeta
     for each non-last part, and the closing MT value of depth k+1-|i|.
+    The parity filter is applied here, at construction: a term whose
+    filtered argument m is odd is never built, and an even m gives the
+    atom zeta(m).
     """
     s = tuple(s)
     k = len(s)
@@ -135,7 +139,7 @@ def subset_reduction(
                         break
                     if part[-1] % 2:
                         coeff = -coeff
-                    atoms.append(TildeZeta(m))
+                    atoms.append(EvenZeta(m))
                 else:
                     m = sum(part) if len(part) == 1 else sum(part) - 2 * sum(r)
                     atoms.append(_f_atom(s, subset, alpha, m))
@@ -316,9 +320,10 @@ def quad_e2(n: int, alpha: Fraction | int = 0) -> Expr:
 
 
 def quad_e3(n: int, alpha: Fraction | int = 0) -> Expr:
-    """Size-3 subset term for four equal exponents."""
+    """Size-3 subset term for four equal exponents.  Its parity-filtered
+    zeta~(2n) is always even, so it is built as zeta(2n)."""
     alpha = Fraction(alpha) % 1
-    out = Expr.term(2, (TildeZeta(2 * n), mt_value((n, Z, n), (0, alpha, 0))))
+    out = Expr.term(2, (EvenZeta(2 * n), mt_value((n, Z, n), (0, alpha, 0))))
     sgn = Fraction(-1 if n % 2 else 1)
     for mu in range(n // 2 + 1):
         for nu in range(max(2 * n - 2 * mu, n) // 2 + 1):
@@ -339,7 +344,9 @@ def quad_e3(n: int, alpha: Fraction | int = 0) -> Expr:
 
 
 def quad_e4(n: int, alpha: Fraction | int = 0) -> Expr:
-    """Size-4 subset term for four equal exponents."""
+    """Size-4 subset term for four equal exponents.  The parity filter is
+    applied at construction: zeta~(2n) is built as zeta(2n), and the
+    zeta~(3n-2mu) terms, which vanish for odd n, are built only for even n."""
     alpha = Fraction(alpha) % 1
     out = Expr.zero()
     for mu in range(n // 2 + 1):
@@ -372,17 +379,19 @@ def quad_e4(n: int, alpha: Fraction | int = 0) -> Expr:
         out = out + Expr.term(
             sgn * 8 * binomial(2 * n - 2 * mu - 1, n - 1),
             (
-                TildeZeta(2 * n),
+                EvenZeta(2 * n),
                 EvenZeta(2 * mu),
                 lerch(Z.shift(2 * n - 2 * mu), alpha),
             ),
         )
+    if n % 2:  # zeta~(3n - 2mu) vanishes for odd n
+        return out
     for mu in range(n // 2 + 1):
         out = out + Expr.term(
             8 * binomial(2 * n - 2 * mu - 1, n - 1),
             (
                 EvenZeta(2 * mu),
-                TildeZeta(3 * n - 2 * mu),
+                EvenZeta(3 * n - 2 * mu),
                 lerch(Z.shift(n), alpha),
             ),
         )

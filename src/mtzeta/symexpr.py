@@ -5,11 +5,9 @@ Atoms
 -----
 * ``EvenZeta(n)``: zeta at an even integer n >= 0 (kept symbolic; n = 0 is
   legal and evaluates to -1/2).
-* ``TildeZeta(n)``: zeta at n if n is even, 0 if n is odd.  Instances never
-  survive normalization: odd kills the term, even rewrites to ``EvenZeta``.
 * ``Lerch(e, color)``: sum over m >= 1 of e(color*m)/m^e (periodic zeta).
-  With trivial color and an even integer exponent it canonicalizes to
-  ``EvenZeta``.
+  The trivial-color even-integer form is not a ``Lerch``: it is
+  ``EvenZeta``, and the constructor rejects it.
 * ``MTValue(exps, colors)``: a Mordell-Tornheim value of depth >= 2; the
   last slot is the total-sum slot.  The first-depth slots are sorted, since
   the underlying series is symmetric under permuting them jointly with
@@ -17,10 +15,15 @@ Atoms
 * ``MZValue(exps, colors)``: a (colored) multiple zeta value; slots are
   ordered leading-first and never sorted.
 
+Build atoms with ``lerch``, ``mt_value`` and ``mzv``: they canonicalize
+colors, sort MT slots and collapse low depths.
+
 Colors are rationals reduced mod 1; color 0 is the trivial phase.
 Exponents are affine in z with z-coefficient 0 or 1; a product term may
 contain at most one z-bearing atom (constructions that would violate this
-signal a bug and are rejected).
+signal a bug and are rejected).  ``Expr.substitute`` replaces z by a
+number, after which the slots hold plain numbers (int, float, Fraction or
+complex) and the atoms keep their classes.
 
 ``Expr`` is a map from atom multisets to rational coefficients.  The map is
 canonical: no zero coefficients, atoms sorted by a fixed total order, so
@@ -37,13 +40,9 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
 __all__ = [
     "AffineExp",
     "EvenZeta",
-    "TildeZeta",
     "Lerch",
     "MTValue",
     "MZValue",
-    "NumLerch",
-    "NumMT",
-    "NumMZV",
     "Expr",
     "Z",
     "lerch",
@@ -56,9 +55,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AffineExp:
-    """Exponent const + z (when has_z) or plain integer const."""
+    """Exponent const + z (when has_z) or plain const.  The const is an
+    integer while z is symbolic and any number once z is substituted."""
 
-    const: int
+    const: Any
     has_z: bool = False
 
     def __add__(self, other: "AffineExp") -> "AffineExp":
@@ -69,13 +69,17 @@ class AffineExp:
     def shift(self, c: int) -> "AffineExp":
         return AffineExp(self.const + c, self.has_z)
 
-    def substitute(self, z0: Any) -> Any:
+    def substitute(self, z0: Any) -> "AffineExp":
         if not self.has_z:
-            return self.const
-        return _canon_number(self.const + z0)
+            return self
+        return AffineExp(_canon_number(self.const + z0))
 
     def key(self) -> tuple:
-        return (1 if self.has_z else 0, self.const)
+        c = self.const
+        if type(c) is int:
+            return (self.has_z, c, 0)
+        c = complex(c)
+        return (self.has_z, c.real, c.imag)
 
     def __str__(self) -> str:
         if self.has_z:
@@ -113,11 +117,6 @@ def _canon_number(v: Any) -> Any:
     return v
 
 
-def _number_key(v: Any) -> tuple[float, float]:
-    c = complex(v)
-    return (c.real, c.imag)
-
-
 @dataclass(frozen=True)
 class EvenZeta:
     n: int
@@ -134,22 +133,13 @@ class EvenZeta:
 
 
 @dataclass(frozen=True)
-class TildeZeta:
-    """Parity-filtered zeta: zeta(n) for even n, 0 for odd n."""
-
-    n: int
-
-    def key(self) -> tuple:
-        return (1, self.n)
-
-    def __str__(self) -> str:
-        return f"zeta~({self.n})"
-
-
-@dataclass(frozen=True)
 class Lerch:
     exp: AffineExp
     color: Fraction
+
+    def __post_init__(self) -> None:
+        if self.color == 0 and _even_integer(self.exp):
+            raise ValueError(f"trivial-color Lerch at {self.exp} is EvenZeta")
 
     def key(self) -> tuple:
         return (2, self.exp.key(), self.color)
@@ -204,37 +194,7 @@ class MZValue:
         return f"mzv({args}; {cols})"
 
 
-# Numeric atoms produced by z-substitution; exponent slots hold numbers.
-
-
-@dataclass(frozen=True)
-class NumLerch:
-    s: Any
-    color: Fraction
-
-    def key(self) -> tuple:
-        return (5, _number_key(self.s), self.color)
-
-
-@dataclass(frozen=True)
-class NumMT:
-    exps: tuple[Any, ...]
-    colors: tuple[Fraction, ...]
-
-    def key(self) -> tuple:
-        return (7, len(self.exps), tuple(map(_number_key, self.exps)), self.colors)
-
-
-@dataclass(frozen=True)
-class NumMZV:
-    exps: tuple[Any, ...]
-    colors: tuple[Fraction, ...]
-
-    def key(self) -> tuple:
-        return (6, len(self.exps), tuple(map(_number_key, self.exps)), self.colors)
-
-
-Atom = Union[EvenZeta, TildeZeta, Lerch, MTValue, MZValue, NumLerch, NumMT, NumMZV]
+Atom = Union[EvenZeta, Lerch, MTValue, MZValue]
 
 
 def atom_has_z(a: Atom) -> bool:
@@ -245,11 +205,15 @@ def atom_has_z(a: Atom) -> bool:
     return False
 
 
+def _even_integer(e: AffineExp) -> bool:
+    return not e.has_z and isinstance(e.const, Integral) and e.const % 2 == 0
+
+
 def lerch(exp: Union[int, AffineExp], color: Union[int, Fraction]) -> Atom:
     """Lerch atom; trivial-color even-integer exponents canonicalize."""
     e = as_exp(exp)
     c = _canon_color(color)
-    if c == 0 and not e.has_z and e.const % 2 == 0:
+    if c == 0 and _even_integer(e):
         return EvenZeta(e.const)
     return Lerch(e, c)
 
@@ -291,17 +255,6 @@ def mzv(
     return MZValue(es, cs)
 
 
-def _normalize_atom(a: Atom) -> Union[Atom, None]:
-    """Atom-level rewrite; None means the whole term vanishes."""
-    if isinstance(a, TildeZeta):
-        if a.n % 2:
-            return None
-        return EvenZeta(a.n)
-    if isinstance(a, Lerch):
-        return lerch(a.exp, a.color)
-    return a
-
-
 TermKey = tuple  # sorted tuple of atoms
 
 
@@ -317,19 +270,9 @@ class Expr:
                 coeff = Fraction(coeff)
                 if not coeff:
                     continue
-                norm: list[Atom] = []
-                dead = False
-                for a in atoms:
-                    na = _normalize_atom(a)
-                    if na is None:
-                        dead = True
-                        break
-                    norm.append(na)
-                if dead:
-                    continue
-                if sum(atom_has_z(a) for a in norm) > 1:
+                if sum(atom_has_z(a) for a in atoms) > 1:
                     raise ValueError("term with two z-bearing atoms")
-                key = tuple(sorted(norm, key=lambda a: a.key()))
+                key = tuple(sorted(atoms, key=lambda a: a.key()))
                 acc = terms.get(key, Fraction(0)) + coeff
                 if acc:
                     terms[key] = acc
@@ -420,29 +363,24 @@ class Expr:
     # -- substitution ---------------------------------------------------
 
     def substitute(self, z0: Any) -> "Expr":
-        """Replace z by a number everywhere; atoms re-tag where exponents
-        become plain integers.  Requires Re(z0) >= 1 (evaluation domain)."""
+        """Replace z by a number everywhere; the slots that held z now hold
+        numbers.  Requires Re(z0) >= 1 (evaluation domain)."""
         if complex(z0).real < 1:
             raise ValueError(f"substitution requires Re(z) >= 1, got {z0!r}")
         raw: dict[TermKey, Fraction] = {}
         for atoms, c in self.terms.items():
             new = tuple(_substitute_atom(a, z0) for a in atoms)
-            key = tuple(sorted(new, key=lambda a: a.key()))
-            raw[key] = raw.get(key, Fraction(0)) + c
+            raw[new] = raw.get(new, Fraction(0)) + c
         return Expr(raw)
 
 
 def _substitute_atom(a: Atom, z0: Any) -> Atom:
+    """A Lerch may become EvenZeta; MT head slots are not re-sorted."""
+    if not atom_has_z(a):
+        return a
     if isinstance(a, Lerch):
-        s = a.exp.substitute(z0)
-        if a.color == 0 and isinstance(s, int) and s >= 0 and s % 2 == 0:
-            return EvenZeta(s)
-        return NumLerch(s, a.color)
-    if isinstance(a, MTValue):
-        return NumMT(tuple(e.substitute(z0) for e in a.exps), a.colors)
-    if isinstance(a, MZValue):
-        return NumMZV(tuple(e.substitute(z0) for e in a.exps), a.colors)
-    return a
+        return lerch(a.exp.substitute(z0), a.color)
+    return type(a)(tuple(e.substitute(z0) for e in a.exps), a.colors)
 
 
 def _term_sort_key(atoms: TermKey) -> tuple:

@@ -1,17 +1,26 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
+from pathlib import Path
 
+import mtzeta
+from mtzeta import mzvconvert
 from mtzeta.cli import identity_from_json, identity_to_json, main, parse_complex
 from mtzeta.reduction import cyclic_sum_identity
 from mtzeta.symexpr import expr_from_json, expr_to_json
 
 
 def run_cli(*argv):
+    # the child imports the same mtzeta as this process, installed or not
+    src = str(Path(mtzeta.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "mtzeta.cli", *argv],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -69,6 +78,21 @@ def test_eval_command(capsys):
     import math
 
     assert abs(float(data["value_re"]) - math.pi**4 / 180) < 1e-12
+
+
+def test_eval_prints_at_working_precision(capsys):
+    # MT({2}_5); the published decimal is truncated at 18 digits
+    argv = ["eval", "--s", "2,2,2,2", "--z", "2", "--precision-bits", "192", "--tol", "1e-16"]
+    assert main(argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    err = abs(Fraction(data["value_re"]) - Fraction("0.163501600521337009"))
+    assert err <= Fraction(data["bound"]) + Fraction(1, 10**18)
+
+
+def test_convert_budget_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(mzvconvert, "_MAX_STEPS", 10)
+    assert main(["convert", "--s", "2,2,2,2"]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_eval_direct_route(capsys):

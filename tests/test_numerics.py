@@ -196,7 +196,13 @@ def test_eval_expr_with_z():
 
 def test_eval_expr_atom_error_naming():
     e = Expr.atom(mzv((1, 1), (0, 0)))
-    with pytest.raises(ValueError, match="NumMZV"):
+    with pytest.raises(ValueError, match=r"mzv\(1,1; 0,0\)"):
+        eval_expr(e)
+
+
+def test_eval_expr_unsubstituted_z():
+    e = Expr.term(-2, (EvenZeta(2), lerch(Z.shift(3), Fraction(1, 3))))
+    with pytest.raises(ValueError, match="unsubstituted z"):
         eval_expr(e)
 
 

@@ -3,14 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from mtzeta.numerics import EvalConfig, eval_expr, mt_direct
 from mtzeta.symexpr import (
     AffineExp,
     EvenZeta,
     Expr,
     Lerch,
-    NumLerch,
-    NumMT,
-    TildeZeta,
+    MTValue,
     Z,
     expr_from_json,
     expr_to_json,
@@ -18,16 +17,6 @@ from mtzeta.symexpr import (
     mt_value,
     mzv,
 )
-
-
-def test_tilde_zeta_odd_kills_term():
-    e = Expr.term(3, (TildeZeta(5), EvenZeta(2)))
-    assert e == Expr.zero()
-
-
-def test_tilde_zeta_even_becomes_even_zeta():
-    assert Expr.atom(TildeZeta(4)) == Expr.atom(EvenZeta(4))
-    assert Expr.atom(TildeZeta(0)) == Expr.atom(EvenZeta(0))
 
 
 def test_merge_duplicates():
@@ -95,7 +84,10 @@ def test_substitute_examples():
     sm = m.substitute(2)
     ((atoms, coeff),) = list(sm.items())
     assert coeff == 1
-    assert atoms[0] == NumMT((1, 1, 2), (Fraction(0), Fraction(0), Fraction(1, 3)))
+    assert atoms[0] == MTValue(
+        (AffineExp(1), AffineExp(1), AffineExp(2)),
+        (Fraction(0), Fraction(0), Fraction(1, 3)),
+    )
 
 
 def test_substitute_domain():
@@ -108,7 +100,29 @@ def test_substitute_domain():
 def test_substitute_odd_integer_stays_numeric_request():
     e = Expr.atom(lerch(Z.shift(2), 0)).substitute(3)
     ((atoms, _),) = list(e.items())
-    assert atoms[0] == NumLerch(5, Fraction(0))
+    assert atoms[0] == Lerch(AffineExp(5), Fraction(0))
+
+
+def test_substitute_mixed_slots_sort_and_evaluate():
+    # z rides a head slot, which keeps its place and holds a complex number;
+    # ordering the terms compares it with the integer slot of a z-free atom
+    m = mt_value((1, Z, 2), (0, Fraction(1, 3), 0))
+    plain = mt_value((1, 3, 2), (0, 0, 0))
+    s = (Expr.term(2, (m,)) + Expr.atom(plain)).substitute(2 + 1j)
+    head = MTValue((AffineExp(1), AffineExp(2 + 1j), AffineExp(2)), m.colors)
+    assert [atoms for atoms, _ in s.items()] == [(head,), (plain,)]
+    cfg = EvalConfig(precision_bits=64, target_tol=1e-6)
+    r = eval_expr(Expr.atom(m), 2 + 1j, cfg)
+    d = mt_direct((1, 2 + 1j, 2), m.colors, cfg)
+    assert r.value == d.value and r.bound >= d.bound
+
+
+def test_lerch_rejects_even_zeta_form():
+    with pytest.raises(ValueError, match="EvenZeta"):
+        Lerch(AffineExp(4), Fraction(0))
+    assert lerch(4, 0) == EvenZeta(4)
+    Lerch(AffineExp(4), Fraction(1, 2))  # colored: a genuine Lerch value
+    Lerch(AffineExp(5), Fraction(0))  # odd: zeta(5) stays a Lerch atom
 
 
 atoms_strategy = st.sampled_from(
