@@ -47,6 +47,26 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise SystemExit(_usage_error(f"bad integer vector {text!r}")) from exc
 
 
+def _fraction_arg(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"bad rational {text!r}") from None
+
+
+def _fractions_arg(text: str) -> list[Fraction]:
+    return [_fraction_arg(c) for c in text.split(",")]
+
+
+def _complex_arg(text: str) -> str:
+    """Checks a --z flag but keeps its text, which verify echoes."""
+    try:
+        parse_complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad complex value {text!r}") from None
+    return text
+
+
 def _usage_error(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
@@ -185,15 +205,12 @@ def _cmd_bern_expand(args) -> int:
 
 def _cmd_convert(args) -> int:
     s = _parse_ints(args.s)
-    colors = None
-    if args.colors:
-        colors = [Fraction(c) for c in args.colors.split(",")]
-    expr = mt_to_mzv(s, colors)
+    expr = mt_to_mzv(s, args.colors)
     payload = {
         "schema": SCHEMA,
         "kind": "mzv-combination",
         "s": list(s),
-        "colors": [_frac_str(Fraction(c) % 1) for c in (colors or [0] * len(s))],
+        "colors": [_frac_str(Fraction(c) % 1) for c in (args.colors or [0] * len(s))],
         "expr": expr_to_json(expr),
     }
     _emit(payload, args.format, [str(expr)])
@@ -235,7 +252,7 @@ def _cmd_characters(args) -> int:
 
 def _identity_for(args) -> Identity:
     s = _parse_ints(args.s)
-    alpha = Fraction(args.alpha) if args.alpha else Fraction(0)
+    alpha = args.alpha if args.alpha is not None else Fraction(0)
     return cyclic_sum_identity(s, alpha)
 
 
@@ -332,7 +349,7 @@ def _cmd_eval(args) -> int:
         result = mt_l_value(exps, chis, cfg)
         route = "character-assembly"
     else:
-        alpha = Fraction(args.alpha) if args.alpha else Fraction(0)
+        alpha = args.alpha if args.alpha is not None else Fraction(0)
         if args.z:
             z0 = parse_complex(args.z)
             if z0.real < 1:
@@ -371,11 +388,11 @@ def build_parser() -> _Parser:
     def common(sp, z=False, alpha=False, chi=False, numeric=False):
         sp.add_argument("--s", required=True, help="comma-separated integers")
         if alpha:
-            sp.add_argument("--alpha", help='rational color "p/q"')
+            sp.add_argument("--alpha", type=_fraction_arg, help='rational color "p/q"')
         if chi:
             sp.add_argument("--chi", help='character "MOD,INDEX"')
         if z:
-            sp.add_argument("--z", help='complex value "a+bi"')
+            sp.add_argument("--z", type=_complex_arg, help='complex value "a+bi"')
         if numeric:
             sp.add_argument("--precision-bits", type=int, dest="precision_bits")
             sp.add_argument("--N", type=int, dest="N")
@@ -392,7 +409,9 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_bern_expand)
 
     sp = sub.add_parser("convert", help="rewrite an MT value as colored MZVs")
-    sp.add_argument("--colors", help="comma-separated rationals, one per slot")
+    sp.add_argument(
+        "--colors", type=_fractions_arg, help="comma-separated rationals, one per slot"
+    )
     common(sp)
     sp.set_defaults(fn=_cmd_convert)
 
@@ -421,7 +440,7 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha", None) and getattr(args, "chi", None):
+    if getattr(args, "alpha", None) is not None and getattr(args, "chi", None):
         return _usage_error("--alpha and --chi are mutually exclusive")
     try:
         return args.fn(args)

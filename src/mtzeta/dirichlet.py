@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 MAX_MODULUS = 50
+MAX_GRID = 100_000
 
 
 def _factorize(n: int) -> list[tuple[int, int]]:
@@ -225,7 +226,6 @@ def mt_l_value(
     exps: Sequence[int],
     chis: Sequence[DirichletCharacter],
     cfg: EvalConfig = DEFAULT_CONFIG,
-    budget: int = 100_000,
 ) -> EvalResult:
     """Character-twisted MT value assembled from colored values:
 
@@ -233,7 +233,7 @@ def mt_l_value(
             * colored MT value at colors (j_1/f_1, ..., j_d/f_d).
 
     Requires every character primitive (the color bridge needs it); the
-    f-grid size is guarded by ``budget``.
+    f-grid size is at most ``MAX_GRID``.
     """
     import itertools
 
@@ -250,8 +250,8 @@ def mt_l_value(
     grid = 1
     for chi in chis:
         grid *= chi.modulus
-    if grid > budget:
-        raise ValueError(f"f-grid of size {grid} exceeds budget {budget}")
+    if grid > MAX_GRID:
+        raise ValueError(f"f-grid of size {grid} exceeds budget {MAX_GRID}")
 
     prec = cfg.precision_bits + _GUARD_BITS
     taus = [gauss_sum(chi.conjugate(), cfg) for chi in chis]

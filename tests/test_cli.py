@@ -106,9 +106,16 @@ def test_determinism_and_exit1():
     rc2, out2, _ = run_cli("reduce", "--s", "1,2,1", "--alpha", "1/3")
     assert rc1 == rc2 == 0
     assert out1 == out2
-    rc, _, err = run_cli("reduce", "--nonsense")
-    assert rc == 1
-    assert "usage" in err or "error" in err
+    for argv in (
+        ("reduce", "--nonsense"),
+        ("reduce", "--s", "2,2", "--alpha", "abc"),
+        ("convert", "--s", "2,2,1", "--colors", "1/3,abc,0"),
+        ("verify", "--s", "2,2", "--z", "abc"),
+        ("eval", "--s", "2,2", "--z", "2.5e-1+1i"),
+    ):
+        rc, _, err = run_cli(*argv)
+        assert rc == 1, argv
+        assert "usage" in err or "error" in err
 
 
 def test_mutually_exclusive_alpha_chi():

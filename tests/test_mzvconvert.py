@@ -114,15 +114,68 @@ def test_general_color_pattern_depth2():
     assert e == expect
 
 
-def test_general_equals_depth3_after_normalization_symbolically():
-    # both produce pure chains; Expr equality is exact where they agree
-    # term-by-term after canonicalization; otherwise the numeric dual-path
-    # test in test_numerics covers it.  (2,2,2,2) is an agreeing case.
-    got = mt_to_mzv((2, 2, 2, 2))
-    alt = mt_to_mzv_depth3(2, 2, 2, 2)
-    # same weight/depth atom support is guaranteed; values must agree
-    # numerically, which test_numerics::test_dual_path_depth3 checks.
-    weights = {sum(e.const for e in a.exps) for t, _ in got.items() for a in t}
-    assert weights == {8}
-    weights_alt = {sum(e.const for e in a.exps) for t, _ in alt.items() for a in t}
-    assert weights_alt == {8}
+def test_general_matches_depth3():
+    for s in itertools.product(range(1, 4), repeat=4):
+        if mt_convergent(s):
+            assert mt_to_mzv(s) == mt_to_mzv_depth3(*s), s
+
+
+def _sign(g, n):
+    """e(g n) for a color g in {0, 1/2}."""
+    return -1 if (2 * g * n) % 2 else 1
+
+
+def _mt_coefficients(exps, colors, top):
+    """c[N] = sum over m_1 + ... + m_k = N of prod e(g_i m_i) / m_i^s_i,
+    times e(g_total N) / N^t, for N <= top."""
+    series = [Fraction(1)] + [Fraction(0)] * top
+    for s, g in zip(exps[:-1], colors[:-1]):
+        factor = [Fraction(0)] + [Fraction(_sign(g, m), m**s) for m in range(1, top + 1)]
+        series = [
+            sum(series[j] * factor[n - j] for j in range(n + 1)) for n in range(top + 1)
+        ]
+    t, g = exps[-1], colors[-1]
+    return [Fraction(0)] + [
+        series[n] * Fraction(_sign(g, n), n**t) for n in range(1, top + 1)
+    ]
+
+
+def _mzv_coefficients(atom, top):
+    """c[N] = sum over N = n_1 > ... > n_d >= 1 of prod e(h_j n_j) / n_j^a_j."""
+    inner = None
+    for e, h in reversed(list(zip(atom.exps, atom.colors))):
+        below = Fraction(0)
+        row = [Fraction(0)]
+        for n in range(1, top + 1):
+            term = Fraction(_sign(h, n), n**e.const)
+            row.append(term if inner is None else term * below)
+            if inner is not None:
+                below += inner[n]
+        inner = row
+    return inner
+
+
+@pytest.mark.parametrize(
+    "exps, colors",
+    [
+        ((2, 1, 3, 1, 2), (0,) * 5),
+        ((1, 1, 1, 1, 2), (Fraction(1, 2), 0, Fraction(1, 2), 0, Fraction(1, 2))),
+        ((2,) * 6, (0, Fraction(1, 2), 0, 0, Fraction(1, 2), 0)),
+        # the case above has no odd-N terms; here the total slot's color shows
+        ((2, 1, 3, 1, 2), (Fraction(1, 2), 0, 0, Fraction(1, 2), Fraction(1, 2))),
+    ],
+)
+def test_general_matches_truncated_sums(exps, colors):
+    # every coefficient of the N-th partial sum agrees exactly
+    top = 12
+    expect = _mt_coefficients(exps, colors, top)
+    got = [Fraction(0)] * (top + 1)
+    for (atom,), c in mt_to_mzv(exps, colors).items():
+        assert isinstance(atom, MZValue)
+        for n, v in enumerate(_mzv_coefficients(atom, top)):
+            got[n] += c * v
+    assert got == expect
+
+
+def test_general_term_count_3_6():
+    assert len(mt_to_mzv((3,) * 6)) == 273
