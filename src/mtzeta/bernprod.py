@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Mapping, Sequence
 
-from .exact import bernoulli, multinomial
+from .exact import bernoulli, bernoulli_poly, multinomial
 from .partitions import (
     PartitionKind,
     enumerate_partitions,
@@ -73,13 +73,9 @@ class BernCombo:
         out = [Fraction(0)] * (deg + 1)
         out[0] = self.constant
         for m, c in self.terms.items():
-            for k, b in enumerate(_bern_poly_coeffs(m)):
+            for k, b in enumerate(bernoulli_poly(m)):
                 out[k] += c * b
         return out
-
-
-def _bern_poly_coeffs(n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(comb(n, k)) * bernoulli(n - k) for k in range(n + 1))
 
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
@@ -103,14 +99,14 @@ def naive_product(s: Sequence[int]) -> BernCombo:
         raise ValueError(f"need positive integer exponents, got {s}")
     poly = [Fraction(1)]
     for e in s:
-        poly = _poly_mul(poly, _bern_poly_coeffs(e))
+        poly = _poly_mul(poly, bernoulli_poly(e))
     terms: dict[int, Fraction] = {}
     for m in range(len(poly) - 1, 0, -1):
         c = poly[m]
         if not c:
             continue
         terms[m] = c
-        for k, b in enumerate(_bern_poly_coeffs(m)):
+        for k, b in enumerate(bernoulli_poly(m)):
             poly[k] -= c * b
     return BernCombo.build(terms, poly[0])
 

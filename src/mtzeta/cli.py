@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -65,6 +66,26 @@ def _complex_arg(text: str) -> str:
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad complex value {text!r}") from None
     return text
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}, need a finite number >= 0")
+    return tol
+
+
+def _precision_arg(text: str) -> int:
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 64:
+        raise argparse.ArgumentTypeError(f"bad precision {text!r}, need an integer >= 64")
+    return bits
 
 
 def _usage_error(msg: str) -> int:
@@ -364,7 +385,7 @@ def _cmd_eval(args) -> int:
             result = mt_via_mzv(exps, colors, cfg)
             route = "conversion"
         else:
-            result = mt_direct(exps, colors, cfg, N=args.N)
+            result = mt_direct(exps, colors, cfg)
             route = "direct"
     value_re, value_im = _nstr_parts(result.value, 25, cfg)
     payload = {
@@ -385,6 +406,10 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    def numeric_flags(sp):
+        sp.add_argument("--precision-bits", type=_precision_arg, dest="precision_bits")
+        sp.add_argument("--tol", type=_tol_arg)
+
     def common(sp, z=False, alpha=False, chi=False, numeric=False):
         sp.add_argument("--s", required=True, help="comma-separated integers")
         if alpha:
@@ -394,9 +419,7 @@ def build_parser() -> _Parser:
         if z:
             sp.add_argument("--z", type=_complex_arg, help='complex value "a+bi"')
         if numeric:
-            sp.add_argument("--precision-bits", type=int, dest="precision_bits")
-            sp.add_argument("--N", type=int, dest="N")
-            sp.add_argument("--tol", type=float)
+            numeric_flags(sp)
         sp.add_argument("--format", choices=("json", "text"), default="json")
 
     sp = sub.add_parser("partitions", help="enumerate fat/pre-fat partitions")
@@ -417,8 +440,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("characters", help="list Dirichlet characters mod f")
     sp.add_argument("--mod", type=int, required=True)
-    sp.add_argument("--precision-bits", type=int, dest="precision_bits")
-    sp.add_argument("--tol", type=float)
+    numeric_flags(sp)
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(fn=_cmd_characters)
 

@@ -30,6 +30,7 @@ from .numerics import (
     EvalResult,
     _GUARD_BITS,
     _e_of,
+    _eps,
     _mp_lock,
     eval_expr,
 )
@@ -213,7 +214,13 @@ def gauss_sum(chi: DirichletCharacter, cfg: EvalConfig = DEFAULT_CONFIG) -> Eval
             if a is None:
                 continue
             total += _e_of(a + Fraction(n, f), prec)
-        return EvalResult(total, 8 * f * float(mp.mpf(2) ** (1 - prec)))
+        return EvalResult(total, 8 * f * _eps(prec))
+
+
+def _inverse_error(t: EvalResult) -> float:
+    """Error of 1/t given t's bound: |d(1/t)| <= err / (|t| (|t| - err))."""
+    tm = float(abs(mpc(t.value)))
+    return t.bound / (tm * max(tm - t.bound, 1e-300))
 
 
 def _colored_value_expr(exps: Sequence[Any], colors: Sequence[Fraction]) -> Expr:
@@ -259,11 +266,8 @@ def mt_l_value(
         inv_taus = []
         inv_tau_errs = []
         for t in taus:
-            tv = mpc(t.value)
-            inv_taus.append(1 / tv)
-            # |d(1/t)| <= err / (|t| (|t| - err))
-            tm = float(abs(tv))
-            inv_tau_errs.append(t.bound / (tm * max(tm - t.bound, 1e-300)))
+            inv_taus.append(1 / mpc(t.value))
+            inv_tau_errs.append(_inverse_error(t))
 
     total = mpc(0)
     bound = 0.0
@@ -285,7 +289,7 @@ def mt_l_value(
             wmag = float(abs(wt))
             total += wt * mpc(val.value)
             bound += wmag * val.bound + float(abs(mpc(val.value))) * wmag * (
-                wt_err + 8 * float(mp.mpf(2) ** (1 - prec))
+                wt_err + 8 * _eps(prec)
             )
     return EvalResult(total, bound)
 
@@ -309,13 +313,10 @@ def character_identities(
         ident = cyclic_sum_identity(s, Fraction(n, f))
         a = chi.angle(n)
         with _mp_lock, mp.workprec(prec):
-            tv = mpc(tau.value)
             if a is None:
                 w = EvalResult(mpc(0), 0.0)
             else:
-                wv = _e_of((-a) % 1, prec) / tv
-                tm = float(abs(tv))
-                err = tau.bound / (tm * max(tm - tau.bound, 1e-300))
-                w = EvalResult(wv, float(abs(wv)) * (err + 8 * float(mp.mpf(2) ** (1 - prec))))
+                wv = _e_of((-a) % 1, prec) / mpc(tau.value)
+                w = EvalResult(wv, float(abs(wv)) * (_inverse_error(tau) + 8 * _eps(prec)))
         out.append((w, ident))
     return out

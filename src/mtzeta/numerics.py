@@ -10,7 +10,8 @@ bound is acceptable but an invalid one is a bug.
 Evaluation routes:
 
 * even zeta values are exact rationals times a power of pi;
-* Riemann/Hurwitz zeta by Euler-Maclaurin with the explicit remainder;
+* Riemann/Hurwitz zeta by Euler-Maclaurin with the explicit remainder,
+  for Re(s) > 1 (absolute convergence; nothing is continued analytically);
 * Lerch (periodic zeta) at rational color p/q via the q-term Hurwitz sum;
 * trivial-color MZVs by splitting the defining iterated integral at 1/2,
   which turns the value into a short sum of products of multiple
@@ -23,10 +24,11 @@ Evaluation routes:
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -52,6 +54,8 @@ __all__ = [
 ]
 
 _GUARD_BITS = 16
+# Term budget of the truncated-sum routes (colored MZVs, direct MT sums).
+_MAX_TERMS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -60,16 +64,12 @@ class EvalConfig:
 
     precision_bits: int = 256
     target_tol: float = 1e-32
-    max_terms: int = 4_000_000
 
     def __post_init__(self) -> None:
         if self.precision_bits < 64:
             raise ValueError("precision_bits must be >= 64")
         if not self.target_tol > 0:
             raise ValueError("target_tol must be positive")
-
-    def with_tol(self, tol: float) -> "EvalConfig":
-        return replace(self, target_tol=tol)
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -100,19 +100,15 @@ def _eps(prec: int) -> float:
     return float(mpf(2) ** (1 - prec))
 
 
-_pi_cache: dict[int, Any] = {}
-_pi_lock = threading.Lock()
 # mpmath's global precision state is not safe under concurrent mutation;
 # every kernel that touches it runs under this lock.
 _mp_lock = threading.RLock()
 
 
+@functools.cache
 def _pi(prec: int):
-    with _pi_lock:
-        if prec not in _pi_cache:
-            with mp.workprec(prec):
-                _pi_cache[prec] = +mp.pi
-        return _pi_cache[prec]
+    with mp.workprec(prec):
+        return +mp.pi
 
 
 def _e_of(x: Fraction, prec: int):
@@ -163,18 +159,13 @@ def zeta_int(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
 
 
 def hurwitz_zeta(
-    s: Any,
-    a: Fraction = Fraction(1),
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    allow_conditional: bool = False,
+    s: Any, a: Fraction = Fraction(1), cfg: EvalConfig = DEFAULT_CONFIG
 ) -> EvalResult:
     """zeta(s, a) = sum_{j>=0} (j+a)^{-s} for Re(s) > 1, 0 < a <= 1.
 
     Euler-Maclaurin with the classical remainder control: after the B_{2R}
     correction term, the error is at most the first omitted term times
-    |s+2R+1|/(Re(s)+2R+1).  With ``allow_conditional`` the same formula is
-    used down to Re(s) > 0; callers opt in only where the analytically
-    continued value is the meaningful one (nontrivial-color Lerch sums).
+    |s+2R+1|/(Re(s)+2R+1).
     """
     a = Fraction(a)
     if not 0 < a <= 1:
@@ -185,10 +176,8 @@ def hurwitz_zeta(
         sig = float(mp.re(sv))
         if sv == 1:
             raise ValueError("zeta(s, a) has a pole at s = 1")
-        if sig <= 1 and not allow_conditional:
+        if sig <= 1:
             raise ValueError(f"Re(s) > 1 required, got {s!r}")
-        if sig <= 0:
-            raise ValueError(f"Re(s) > 0 required even conditionally, got {s!r}")
         av = mpf(a.numerator) / mpf(a.denominator)
         R = max(12, prec // 6)
         target = max(cfg.target_tol / 8, 4.0 * _eps(prec))
@@ -230,17 +219,13 @@ def hurwitz_zeta(
 
 
 def lerch_phi(
-    s: Any,
-    alpha: Fraction,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-    allow_conditional: bool = False,
+    s: Any, alpha: Fraction, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> EvalResult:
-    """phi(s, alpha) = sum_{m>=1} e(m alpha)/m^s for rational alpha.
+    """phi(s, alpha) = sum_{m>=1} e(m alpha)/m^s for rational alpha and
+    Re(s) > 1.
 
     Computed as q^{-s} * sum_{a=1}^{q} e(a p/q) zeta(s, a/q) with q the
-    reduced denominator.  Trivial color is plain zeta and requires
-    Re(s) > 1; nontrivial color admits 0 < Re(s) <= 1 behind the opt-in
-    flag (conditional convergence).
+    reduced denominator; trivial color is plain zeta.
     """
     alpha = Fraction(alpha) % 1
     if alpha == 0:
@@ -252,7 +237,7 @@ def lerch_phi(
         total = mpc(0)
         bound = 0.0
         for r in range(1, q + 1):
-            hz = hurwitz_zeta(sv, Fraction(r, q), cfg, allow_conditional)
+            hz = hurwitz_zeta(sv, Fraction(r, q), cfg)
             phase = _e_of(alpha * r, prec)
             total += phase * mpc(hz.value)
             bound += hz.bound + float(abs(mpc(hz.value))) * 4 * _eps(prec)
@@ -264,10 +249,6 @@ def lerch_phi(
 
 # ---------------------------------------------------------------------------
 # trivial-color MZVs via the iterated-integral split at 1/2
-
-_li_cache: dict[tuple, tuple[Any, float]] = {}
-_li_lock = threading.Lock()
-
 
 def _word_to_exponents(word: tuple[int, ...]) -> tuple[int, ...]:
     assert word and word[-1] == 1
@@ -282,6 +263,7 @@ def _word_to_exponents(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(exps)
 
 
+@functools.cache
 def _li_half(word: tuple[int, ...], prec: int) -> tuple[Any, float]:
     """Multiple polylogarithm at 1/2 for a {0,1} word ending in 1:
 
@@ -291,11 +273,6 @@ def _li_half(word: tuple[int, ...], prec: int) -> tuple[Any, float]:
     """
     if not word:
         return (mpf(1), 0.0)
-    key = (word, prec)
-    with _li_lock:
-        hit = _li_cache.get(key)
-    if hit is not None:
-        return hit
     exps = _word_to_exponents(word)
     d = len(exps)
     M = max(prec + 24, 4 * d + 16)
@@ -318,10 +295,7 @@ def _li_half(word: tuple[int, ...], prec: int) -> tuple[Any, float]:
         # once m >= 4(d-1), which M satisfies
         trunc = 2.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1)
         bound = trunc + float(total) * (d + 2) * M * _eps(prec)
-        out = (+total, bound)
-    with _li_lock:
-        _li_cache[key] = out
-    return out
+        return (+total, bound)
 
 
 def _mzv_word(exps: Sequence[int]) -> tuple[int, ...]:
@@ -386,7 +360,7 @@ def _mzv_colored_dp(
         raise ValueError("colored MZV evaluation needs leading exponent >= 2")
     target = max(cfg.target_tol, 1e-13)
     N = 64
-    nmax = max(1024, cfg.max_terms // max(k, 1))
+    nmax = max(1024, _MAX_TERMS // max(k, 1))
     while _log_tail_integral(s1, k - 1, N) > target and N < nmax:
         N *= 2
     N = min(N, nmax)
@@ -483,12 +457,13 @@ def mt_direct(
     exps: Sequence[Any],
     colors: Sequence[Fraction] | None = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
-    N: int | None = None,
 ) -> EvalResult:
     """Direct truncated summation of an MT value of depth <= 3.
 
     Exponents may be non-integer (one complex slot is the normal use);
-    absolute convergence is required.  The tail majorant is weak for small
+    absolute convergence is required.  The truncation N is the first power
+    of two whose tail majorant meets the target, capped so that N^depth
+    stays within the term budget.  The tail majorant is weak for small
     exponents, which is the honest price of the direct route.
     """
     exps = tuple(exps)
@@ -506,12 +481,11 @@ def mt_direct(
     sigmas = [complex(e).real for e in exps[:-1]]
     sig_tot = complex(exps[-1]).real
 
-    if N is None:
-        N = 64
-        cap = max(64, int(cfg.max_terms ** (1.0 / k)))
-        while _mt_tail(sigmas, sig_tot, N) > cfg.target_tol and N < cap:
-            N *= 2
-        N = min(N, cap)
+    N = 64
+    cap = max(64, int(_MAX_TERMS ** (1.0 / k)))
+    while _mt_tail(sigmas, sig_tot, N) > cfg.target_tol and N < cap:
+        N *= 2
+    N = min(N, cap)
 
     m = np.arange(1, N + 1)
     axes = []
@@ -559,47 +533,25 @@ def mt_direct(
 # whole-expression evaluation
 
 
-def _is_int(v: Any) -> bool:
-    return isinstance(v, int)
-
-
+@functools.cache
 def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
     if isinstance(a, EvenZeta):
         return even_zeta(a.n, cfg)
     if atom_has_z(a):
         raise ValueError("unsubstituted z")
     if isinstance(a, Lerch):
-        s = a.exp.const
-        if a.color == 0 and _is_int(s):
-            return zeta_int(s, cfg)
-        return lerch_phi(s, a.color, cfg)
+        return lerch_phi(a.exp.const, a.color, cfg)
     if isinstance(a, MZValue):
         exps = tuple(e.const for e in a.exps)
-        if not all(_is_int(e) for e in exps):
+        if not all(isinstance(e, int) for e in exps):
             raise ValueError(f"MZV evaluation needs integer exponents: {a}")
         return mzv_eval(exps, a.colors, cfg)
     if isinstance(a, MTValue):
         exps = tuple(e.const for e in a.exps)
-        if all(_is_int(e) and e >= 1 for e in exps):
+        if all(isinstance(e, int) and e >= 1 for e in exps):
             return mt_via_mzv(exps, a.colors, cfg)
         return mt_direct(exps, a.colors, cfg)
     raise TypeError(f"cannot evaluate atom {a!r}")
-
-
-_atom_cache: dict[tuple, EvalResult] = {}
-_atom_cache_lock = threading.Lock()
-
-
-def _eval_atom_cached(a: Atom, cfg: EvalConfig) -> EvalResult:
-    key = (a, cfg.precision_bits, cfg.target_tol, cfg.max_terms)
-    with _atom_cache_lock:
-        hit = _atom_cache.get(key)
-    if hit is not None:
-        return hit
-    out = _eval_atom(a, cfg)
-    with _atom_cache_lock:
-        _atom_cache[key] = out
-    return out
 
 
 def _threads() -> int:
@@ -626,7 +578,7 @@ def eval_expr(
 
     def _run(a: Atom) -> None:
         try:
-            results[a] = _eval_atom_cached(a, cfg)
+            results[a] = _eval_atom(a, cfg)
         except ValueError as exc:
             raise ValueError(f"cannot evaluate {a}: {exc}") from exc
 

@@ -116,6 +116,17 @@ def test_determinism_and_exit1():
         rc, _, err = run_cli(*argv)
         assert rc == 1, argv
         assert "usage" in err or "error" in err
+    # truncation is not a flag; tolerance and precision are checked at parse time
+    for argv in (
+        ("eval", "--s", "2,2", "--z", "2.5", "--N", "0"),
+        ("eval", "--s", "2,2", "--z", "2", "--tol", "-1"),
+        ("verify", "--s", "2,2", "--z", "2", "--tol", "nan"),
+        ("eval", "--s", "2,2", "--z", "2", "--precision-bits", "10"),
+        ("characters", "--mod", "4", "--precision-bits", "8"),
+    ):
+        rc, _, err = run_cli(*argv)
+        assert rc == 1, argv
+        assert "usage" in err and "Traceback" not in err, argv
 
 
 def test_mutually_exclusive_alpha_chi():

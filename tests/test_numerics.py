@@ -62,8 +62,7 @@ def test_hurwitz_domain():
     with pytest.raises(ValueError):
         hurwitz_zeta(1)
     with pytest.raises(ValueError):
-        hurwitz_zeta(Fraction(1, 2))  # needs allow_conditional
-    hurwitz_zeta(Fraction(1, 2), allow_conditional=True)
+        hurwitz_zeta(Fraction(1, 2))
 
 
 def test_hurwitz_bound_honesty_refinement():
@@ -267,7 +266,25 @@ def test_threads_env_matches_sequential(monkeypatch):
     monkeypatch.setenv("THREADS", "4")
     import mtzeta.numerics as num
 
-    num._atom_cache.clear()
+    num._eval_atom.cache_clear()
     par = eval_expr(e, cfg=EvalConfig(precision_bits=128))
     assert complex(seq.value) == complex(par.value)
     assert seq.bound == par.bound
+
+
+def test_atom_cache_hits_on_repeat():
+    from mtzeta.numerics import _eval_atom
+
+    e = Expr.term(3, (EvenZeta(2), lerch(3, Fraction(1, 4)))) + Expr.term(
+        -1, (mzv((2, 1), (0, 0)), lerch(3, Fraction(1, 4)))
+    )
+    cfg = EvalConfig(precision_bits=112, target_tol=1e-20)
+    first = eval_expr(e, cfg=cfg)
+    before = _eval_atom.cache_info()
+    again = eval_expr(e, cfg=cfg)
+    after = _eval_atom.cache_info()
+    assert after.hits - before.hits == len(set(e.atoms())) == 3
+    assert after.misses == before.misses
+    assert again == first
+    eval_expr(e, cfg=EvalConfig(precision_bits=120, target_tol=1e-20))
+    assert _eval_atom.cache_info().misses > after.misses
