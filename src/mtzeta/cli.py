@@ -26,7 +26,7 @@ from . import __version__
 from .bernprod import carlitz_product, expand_by_partitions, expand_by_subsets, naive_product
 from .dirichlet import character_identities, enumerate_characters, gauss_sum, mt_l_value
 from .mzvconvert import mt_to_mzv
-from .numerics import _GUARD_BITS, EvalConfig, mt_direct, mt_via_mzv
+from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, EvalConfig, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
 from .symexpr import _frac_str, atom_from_json, atom_to_json, expr_from_json, expr_to_json
@@ -83,8 +83,10 @@ def _precision_arg(text: str) -> int:
         bits = int(text)
     except ValueError:
         bits = 0
-    if bits < 64:
-        raise argparse.ArgumentTypeError(f"bad precision {text!r}, need an integer >= 64")
+    if not 64 <= bits <= _MAX_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(
+            f"bad precision {text!r}, need an integer in [64, {_MAX_PRECISION_BITS}]"
+        )
     return bits
 
 

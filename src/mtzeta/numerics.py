@@ -15,7 +15,11 @@ Evaluation routes:
 * Lerch (periodic zeta) at rational color p/q via the q-term Hurwitz sum;
 * trivial-color MZVs by splitting the defining iterated integral at 1/2,
   which turns the value into a short sum of products of multiple
-  polylogarithms at 1/2 (geometric convergence, all terms positive);
+  polylogarithms at 1/2 (geometric convergence, all terms positive).
+  These run in fixed point on Python ints scaled by 2^F: every term is
+  one floor division, which loses less than one ulp 2^-F and always
+  rounds down, so their roundoff is an exact count of ulps, not an
+  estimate.  The route never reads or sets mpmath's global precision;
 * colored MZVs by truncated nested prefix sums (numpy) with an integral
   tail majorant;
 * MT values either through the exact rewriting into MZVs (integer
@@ -28,12 +32,14 @@ import functools
 import math
 import os
 import threading
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Any, Sequence
 
 import numpy as np
-from mpmath import mp, mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
@@ -54,8 +60,16 @@ __all__ = [
 ]
 
 _GUARD_BITS = 16
+# Fraction bits of the fixed-point _li_half kernel beyond the working
+# precision; they keep its counted roundoff far below eps.
+_LI_GUARD_BITS = 48
 # Term budget of the truncated-sum routes (colored MZVs, direct MT sums).
 _MAX_TERMS = 4_000_000
+# Largest precision_bits whose bound terms stay normal floats.  The
+# smallest scale any bound term carries is the ulp 2^-F of _li_half, with
+# F = precision_bits + _GUARD_BITS + _LI_GUARD_BITS (eps and the 2^-M of
+# its truncation are larger), and normal doubles reach down to 2^-1022.
+_MAX_PRECISION_BITS = 1022 - _GUARD_BITS - _LI_GUARD_BITS
 
 
 @dataclass(frozen=True)
@@ -66,8 +80,8 @@ class EvalConfig:
     target_tol: float = 1e-32
 
     def __post_init__(self) -> None:
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be >= 64")
+        if not 64 <= self.precision_bits <= _MAX_PRECISION_BITS:
+            raise ValueError(f"precision_bits must be in [64, {_MAX_PRECISION_BITS}]")
         if not self.target_tol > 0:
             raise ValueError("target_tol must be positive")
 
@@ -97,7 +111,7 @@ def _ev_scale(c: Fraction, a: EvalResult) -> EvalResult:
 
 
 def _eps(prec: int) -> float:
-    return float(mpf(2) ** (1 - prec))
+    return math.ldexp(1.0, 1 - prec)
 
 
 # mpmath's global precision state is not safe under concurrent mutation;
@@ -182,15 +196,14 @@ def hurwitz_zeta(
         R = max(12, prec // 6)
         target = max(cfg.target_tol / 8, 4.0 * _eps(prec))
         M = max(32, 2 * R, int(2 * abs(complex(sv))) + 8)
+        # in mpf: B_{2R+2}, (2R+2)! and the rising factorial leave float
+        # range once 2R+2 >= 171, though the remainder itself is small
+        b_next = bernoulli(2 * R + 2)
+        ratio = abs(mpf(b_next.numerator) / b_next.denominator) / mp.factorial(2 * R + 2)
         for _ in range(40):
             x = M + av
-            t_next = (
-                float(abs(bernoulli(2 * R + 2)))
-                / math.factorial(2 * R + 2)
-                * float(abs(mp.rf(sv, 2 * R + 1)))
-                * float(x ** mpf(-sig - 2 * R - 1))
-            )
-            rem = t_next * abs(complex(sv + 2 * R + 1)) / (sig + 2 * R + 1)
+            t_next = ratio * abs(mp.rf(sv, 2 * R + 1)) * x ** mpf(-sig - 2 * R - 1)
+            rem = float(t_next * abs(sv + 2 * R + 1) / (sig + 2 * R + 1))
             if rem <= target or M > 1 << 22:
                 break
             M *= 2
@@ -263,39 +276,65 @@ def _word_to_exponents(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(exps)
 
 
+# Level arrays of the _li_half calls inside one _mzv_split_half call, keyed
+# by (exponent suffix, M).  The split sets a fresh dict and drops it when it
+# returns; _li_half stays a plain function of (word, prec) for its cache.
+_split_levels: ContextVar[dict | None] = ContextVar("_split_levels", default=None)
+
+
+def _inner_levels(exps: tuple[int, ...], M: int, F: int, levels: dict) -> list[int]:
+    """2^F * sum_{m > n_2 > ... > n_d >= 1} prod_{i>=2} n_i^{-e_i} for
+    m = 0..M, built level by level from the longest suffix in ``levels``."""
+    i = 1
+    while i < len(exps) and (exps[i:], M) not in levels:
+        i += 1
+    inner = levels.get((exps[i:], M)) or [1 << F] * (M + 1)
+    for j in range(i - 1, 0, -1):
+        e = exps[j]
+        # new[m] = sum over n < m of inner[n] // n^e
+        inner = [0, 0, *accumulate(inner[n] // n**e for n in range(1, M))]
+        levels[(exps[j:], M)] = inner
+    return inner
+
+
 @functools.cache
-def _li_half(word: tuple[int, ...], prec: int) -> tuple[Any, float]:
+def _li_half(word: tuple[int, ...], prec: int) -> tuple[int, float]:
     """Multiple polylogarithm at 1/2 for a {0,1} word ending in 1:
 
-        Li(word) = sum_{n_1 > ... > n_d >= 1} 2^{-n_1} / prod n_i^{e_i}.
+        Li(word) = sum_{n_1 > ... > n_d >= 1} 2^{-n_1} / prod n_i^{e_i},
 
-    All terms are positive, so roundoff is bounded by value * ops * eps.
+    returned as (V, bound) with V an int, |Li - V 2^-F| <= bound and
+    F = prec + _LI_GUARD_BITS.
+
+    The sum is truncated at n_1 <= M and computed in fixed point: each
+    term is one floor division of an int scaled by 2^F, which loses less
+    than one ulp 2^-F and rounds down.  The prefix-sum level of exponent
+    e_j adds fewer than M - 1 ulps and carries the error of the level
+    below times at most S(e_j) = sum_{n<M} n^-e_j, which is below
+    s1 = floor(ln M) + 2 for e_j = 1 and below 2 otherwise; the outer sum
+    adds fewer than M more.  So the roundoff is below ulps * 2^-F, where
+    ulps = M + delta_2, delta_{d+1} = 0 and delta_j = M - 1 + S(e_j)
+    delta_{j+1}, an exact integer count.
     """
+    F = prec + _LI_GUARD_BITS
     if not word:
-        return (mpf(1), 0.0)
+        return (1 << F, 0.0)
     exps = _word_to_exponents(word)
     d = len(exps)
     M = max(prec + 24, 4 * d + 16)
-    with mp.workprec(prec):
-        inner = [mpf(1)] * (M + 1)  # exclusive products below level j
-        for e in reversed(exps[1:]):
-            acc = mpf(0)
-            new = [mpf(0)] * (M + 1)
-            for m in range(1, M + 1):
-                new[m] = acc  # sum over n < m at this level
-                acc += inner[m] * mpf(m) ** (-e)
-            inner = new
-        half = mpf(1) / 2
-        p = half
-        total = mpf(0)
-        for m in range(1, M + 1):
-            total += p * inner[m] * mpf(m) ** (-exps[0])
-            p *= half
-        # tail: 2^{-m} m^{d-1} decays geometrically with ratio <= 0.65
-        # once m >= 4(d-1), which M satisfies
-        trunc = 2.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1)
-        bound = trunc + float(total) * (d + 2) * M * _eps(prec)
-        return (+total, bound)
+    levels = _split_levels.get()
+    inner = _inner_levels(exps, M, F, {} if levels is None else levels)
+    e0 = exps[0]
+    total = sum(inner[m] // (m**e0 << m) for m in range(1, M + 1))
+    # tail: 2^{-m} m^{d-1} decays geometrically with ratio <= 0.65
+    # once m >= 4(d-1), which M satisfies
+    trunc = 2.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1)
+    s1 = int(math.log(M)) + 2
+    ulps = 0
+    for e in reversed(exps[1:]):
+        ulps = M - 1 + (s1 if e == 1 else 2) * ulps
+    ulps += M
+    return (total, trunc + math.ldexp(ulps, -F))
 
 
 def _mzv_word(exps: Sequence[int]) -> tuple[int, ...]:
@@ -307,22 +346,29 @@ def _mzv_word(exps: Sequence[int]) -> tuple[int, ...]:
 
 def _mzv_split_half(exps: Sequence[int], cfg: EvalConfig) -> EvalResult:
     """zeta(exps) = sum over splits of the word w = uv of
-    Li(dual(reverse(u))) * Li(v), both at 1/2."""
+    Li(dual(reverse(u))) * Li(v), both at 1/2.
+
+    The products are summed exactly as ints scaled by 2^(2F) and rounded
+    to the working precision once, so the only roundoff beyond the
+    _li_half bounds is that last rounding."""
     prec = cfg.precision_bits + _GUARD_BITS
+    F = prec + _LI_GUARD_BITS
+    one = 1 << F
     word = _mzv_word(exps)
-    n = len(word)
-    with _mp_lock, mp.workprec(prec):
-        total = mpf(0)
-        bound = 0.0
-        for cut in range(n + 1):
+    total = 0
+    bound = 0.0
+    token = _split_levels.set({})
+    try:
+        for cut in range(len(word) + 1):
             left = tuple(1 - c for c in reversed(word[:cut]))
-            right = word[cut:]
             lv, lb = _li_half(left, prec)
-            rv, rb = _li_half(tuple(right), prec)
+            rv, rb = _li_half(word[cut:], prec)
             total += lv * rv
-            bound += float(lv) * rb + float(rv) * lb + lb * rb
-        bound += float(total) * 4 * (n + 2) * _eps(prec)
-        return EvalResult(+total, bound)
+            bound += lv / one * rb + rv / one * lb + lb * rb
+    finally:
+        _split_levels.reset(token)
+    value = mp.make_mpf(libmp.from_man_exp(total, -2 * F, prec, "n"))
+    return EvalResult(value, bound + float(value) * _eps(prec))
 
 
 # ---------------------------------------------------------------------------

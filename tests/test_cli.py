@@ -8,6 +8,7 @@ from pathlib import Path
 import mtzeta
 from mtzeta import mzvconvert
 from mtzeta.cli import identity_from_json, identity_to_json, main, parse_complex
+from mtzeta.numerics import _MAX_PRECISION_BITS
 from mtzeta.reduction import cyclic_sum_identity
 from mtzeta.symexpr import expr_from_json, expr_to_json
 
@@ -123,6 +124,7 @@ def test_determinism_and_exit1():
         ("verify", "--s", "2,2", "--z", "2", "--tol", "nan"),
         ("eval", "--s", "2,2", "--z", "2", "--precision-bits", "10"),
         ("characters", "--mod", "4", "--precision-bits", "8"),
+        ("eval", "--s", "3", "--precision-bits", str(_MAX_PRECISION_BITS + 1)),
     ):
         rc, _, err = run_cli(*argv)
         assert rc == 1, argv

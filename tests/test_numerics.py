@@ -1,8 +1,11 @@
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from mtzeta.numerics import (
@@ -18,7 +21,7 @@ from mtzeta.numerics import (
     mzv_eval,
     zeta_int,
 )
-from mtzeta.symexpr import EvenZeta, Expr, Z, lerch, mzv
+from mtzeta.symexpr import EvenZeta, Expr, Z, lerch, mt_value, mzv
 
 CFG = EvalConfig()
 
@@ -259,17 +262,34 @@ def test_concurrent_readers():
 
 
 def test_threads_env_matches_sequential(monkeypatch):
+    # trivial-color MZVs of depth >= 3 sharing exponent suffixes (the
+    # unlocked fixed-point route), a colored MZV and a direct MT atom at
+    # complex z, evaluated by more threads than cores
+    import mtzeta.numerics as num
+
     e = Expr.term(2, (EvenZeta(4), lerch(3, Fraction(1, 3)))) + Expr.term(
         -1, (mzv((3, 2), (0, 0)),)
     )
-    seq = eval_expr(e, cfg=EvalConfig(precision_bits=128))
-    monkeypatch.setenv("THREADS", "4")
-    import mtzeta.numerics as num
-
+    for k, exps in enumerate([(2, 1, 1), (3, 1, 1), (2, 2, 1), (4, 2, 1), (3, 2, 1, 1)]):
+        e = e + Expr.term(k + 1, (mzv(exps, (0,) * len(exps)),))
+    e = e + Expr.term(3, (mzv((2, 1), (Fraction(1, 2), 0)),))
+    e = e + Expr.term(-2, (mt_value((1, Z, 2), (0, Fraction(1, 3), 0)),))
+    cfg = EvalConfig(precision_bits=128, target_tol=1e-12)
     num._eval_atom.cache_clear()
-    par = eval_expr(e, cfg=EvalConfig(precision_bits=128))
-    assert complex(seq.value) == complex(par.value)
-    assert seq.bound == par.bound
+    num._li_half.cache_clear()
+    seq = eval_expr(e, 2 + 1j, cfg)
+    monkeypatch.setenv("THREADS", "4")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            num._eval_atom.cache_clear()
+            num._li_half.cache_clear()
+            par = eval_expr(e, 2 + 1j, cfg)
+            assert par.value == seq.value
+            assert par.bound == seq.bound
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_atom_cache_hits_on_repeat():
@@ -288,3 +308,98 @@ def test_atom_cache_hits_on_repeat():
     assert again == first
     eval_expr(e, cfg=EvalConfig(precision_bits=120, target_tol=1e-20))
     assert _eval_atom.cache_info().misses > after.misses
+
+
+def _li_half_mpf(word, prec):
+    """The mpf loop _li_half used before it ran in fixed point, kept as the
+    oracle: (value, bound) with roundoff value * (d + 2) * M * eps."""
+    from mtzeta.numerics import _eps, _word_to_exponents
+
+    exps = _word_to_exponents(word)
+    d = len(exps)
+    M = max(prec + 24, 4 * d + 16)
+    with mp.workprec(prec):
+        inner = [mp.mpf(1)] * (M + 1)
+        for e in reversed(exps[1:]):
+            acc = mp.mpf(0)
+            new = [mp.mpf(0)] * (M + 1)
+            for m in range(1, M + 1):
+                new[m] = acc
+                acc += inner[m] * mp.mpf(m) ** (-e)
+            inner = new
+        half = mp.mpf(1) / 2
+        p = half
+        total = mp.mpf(0)
+        for m in range(1, M + 1):
+            total += p * inner[m] * mp.mpf(m) ** (-exps[0])
+            p *= half
+        trunc = 2.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1)
+        return +total, trunc + float(total) * (d + 2) * M * _eps(prec)
+
+
+@st.composite
+def _words(draw):
+    # {0,1} words ending in 1 of weight (length) <= 12 and depth (ones) <= 6
+    length = draw(st.integers(min_value=0, max_value=11))
+    ones = draw(st.sets(st.integers(min_value=0, max_value=max(length - 1, 0)), max_size=min(5, length)))
+    return tuple(int(i in ones) for i in range(length)) + (1,)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_words(), st.integers(min_value=64, max_value=400))
+def test_li_half_fixed_point_bound_sound(word, prec):
+    from mtzeta.numerics import _LI_GUARD_BITS, _li_half
+
+    assert len(word) <= 12 and sum(word) <= 6 and word[-1] == 1
+    v, bound = _li_half(word, prec)
+    _, old_bound = _li_half_mpf(word, prec)
+    ref, _ = _li_half_mpf(word, 2 * prec)
+    with mp.workprec(4 * prec + 128):
+        got = mp.ldexp(mp.mpf(v), -(prec + _LI_GUARD_BITS))
+        assert float(abs(got - ref)) <= bound, (word, prec)
+        if sum(word) == 1:
+            e = len(word)
+            assert float(abs(got - mp.polylog(e, mp.mpf(1) / 2))) <= bound, (word, prec)
+    assert bound <= old_bound, (word, prec)
+
+
+def test_duality_all_admissible_weight_le_8():
+    # the admissible indices of weight w are the words 0 u 1, u in
+    # {0,1}^(w-2); the dual index reads the word backwards with 0 and 1
+    # swapped
+    from mtzeta.numerics import _word_to_exponents
+
+    cfg = EvalConfig(precision_bits=192, target_tol=1e-40)
+    checked = 0
+    for w in range(2, 9):
+        for u in itertools.product((0, 1), repeat=w - 2):
+            word = (0, *u, 1)
+            dual = tuple(1 - c for c in reversed(word))
+            a = mzv_eval(_word_to_exponents(word), cfg=cfg)
+            b = mzv_eval(_word_to_exponents(dual), cfg=cfg)
+            diff = float(abs(mp.mpf(a.value) - mp.mpf(b.value)))
+            assert diff <= a.bound + b.bound, (word, diff)
+            checked += 1
+    assert checked == 2**7 - 1
+
+
+def test_hurwitz_beyond_double_range():
+    # B_{2R+2}/(2R+2)! and the rising factorial leave float range here
+    for bits in (512, 768):
+        cfg = EvalConfig(precision_bits=bits, target_tol=1e-300)
+        zeta3 = hurwitz_zeta(3, Fraction(1), cfg)
+        zeta5 = hurwitz_zeta(5, Fraction(1, 3), cfg)
+        with mp.workprec(2 * bits):
+            assert_close(zeta3, mp.zeta(3))
+            assert_close(zeta5, mp.zeta(5, mp.mpf(1) / 3))
+
+
+def test_precision_ceiling_keeps_bounds_normal():
+    from mtzeta.numerics import _GUARD_BITS, _MAX_PRECISION_BITS, _li_half
+
+    with pytest.raises(ValueError, match="precision_bits"):
+        EvalConfig(precision_bits=_MAX_PRECISION_BITS + 1)
+    cfg = EvalConfig(precision_bits=_MAX_PRECISION_BITS)
+    _, li_bound = _li_half((0, 1, 1, 0, 0, 1), _MAX_PRECISION_BITS + _GUARD_BITS)
+    for bound in (li_bound, mzv_eval((3, 2, 1), cfg=cfg).bound, zeta_int(3, cfg).bound):
+        assert bound >= sys.float_info.min
