@@ -350,6 +350,9 @@ def _cmd_verify(args) -> int:
         "pass": ok,
     }
     _emit(payload, args.format, [f"residual {residual:.3e} vs bound {bound:.3e} + tol {tol:.1e}: {'PASS' if ok else 'FAIL'}"])
+    # a pass whose bound exceeds the tolerance proves nothing at that tolerance
+    if ok and bound > (tol or cfg.target_tol):
+        print(f"inconclusive: bound {bound:.3e} exceeds tol {tol or cfg.target_tol:.1e}", file=sys.stderr)
     return 0 if ok else 3
 
 

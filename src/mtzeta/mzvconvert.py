@@ -141,13 +141,11 @@ def mt_to_mzv_depth3(a: int, b: int, c: int, d: int) -> Expr:
 # coefficients summed.  Layers are a loop, not a recursion, so words of
 # thousands of letters stay clear of the recursion limit.
 
-# One step per emitted term.  The two live layers hold at most the terms
-# emitted so far, so the budget bounds memory as well as time.  At one
-# million steps, `convert` with ten distinct colors gives up after 4 s at
-# 312 MB peak RSS (Python 3.11, Intel Xeon; a term's key grows with the
-# depth, and thirty distinct colors peak at 505 MB), while (3,)^8 needs
-# 43,942 steps and eight distinct colors 109,600.
-_MAX_STEPS = 1_000_000
+# Each emitted term costs the length of its key, unfinished suffixes plus
+# finished slots (the depth k).  The two live layers hold at most the terms
+# emitted so far, so the budget bounds memory as well as time, whatever the
+# depth.  (3,)^9 needs 1,959,344 units and eight distinct colors 876,800.
+_MAX_STEPS = 4_000_000
 
 
 def mt_to_mzv(
@@ -188,10 +186,10 @@ def mt_to_mzv(
             for i, (zeros, g) in enumerate(state):
                 if i and state[i - 1] == state[i]:
                     continue
-                steps += 1
+                steps += len(state) + len(slots)
                 if steps > _MAX_STEPS:
                     raise ValueError(
-                        f"rewriting exceeded its budget of {_MAX_STEPS} steps"
+                        f"rewriting exceeded its budget of {_MAX_STEPS} key entries"
                     )
                 rest = state[:i] + state[i + 1 :]
                 if zeros:

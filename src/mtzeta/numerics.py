@@ -13,15 +13,10 @@ Evaluation routes:
 * Riemann/Hurwitz zeta by Euler-Maclaurin with the explicit remainder,
   for Re(s) > 1 (absolute convergence; nothing is continued analytically);
 * Lerch (periodic zeta) at rational color p/q via the q-term Hurwitz sum;
-* trivial-color MZVs by splitting the defining iterated integral at 1/2,
-  which turns the value into a short sum of products of multiple
-  polylogarithms at 1/2 (geometric convergence, all terms positive).
-  These run in fixed point on Python ints scaled by 2^F: every term is
-  one floor division, which loses less than one ulp 2^-F and always
-  rounds down, so their roundoff is an exact count of ulps, not an
-  estimate.  The route never reads or sets mpmath's global precision;
-* colored MZVs by truncated nested prefix sums (numpy) with an integral
-  tail majorant;
+* MZVs of depth >= 2, of every color, by splitting the iterated integral
+  at 1/p into products of geometrically convergent nested sums, in fixed
+  point on ints scaled by 2^F: roundoff is a count of ulps 2^-F, and
+  mpmath's global precision is never read or set;
 * MT values either through the exact rewriting into MZVs (integer
   exponents) or by direct truncated summation (depth <= 3).
 """
@@ -261,132 +256,204 @@ def lerch_phi(
 
 
 # ---------------------------------------------------------------------------
-# trivial-color MZVs via the iterated-integral split at 1/2
+# MZVs of depth >= 2 via the iterated-integral split at 1/p
 
-def _word_to_exponents(word: tuple[int, ...]) -> tuple[int, ...]:
-    assert word and word[-1] == 1
-    exps = []
-    run = 0
-    for c in word:
-        if c == 0:
-            run += 1
-        else:
-            exps.append(run + 1)
-            run = 0
-    return tuple(exps)
+def _word_to_exponents(word: tuple) -> tuple[int, ...]:
+    assert word and word[-1] != 0
+    at = [i for i, c in enumerate(word) if c != 0]
+    return tuple(b - a for a, b in zip([-1, *at], at))
 
 
-# Level arrays of the _li_half calls inside one _mzv_split_half call, keyed
-# by (exponent suffix, M).  The split sets a fresh dict and drops it when it
-# returns; _li_half stays a plain function of (word, prec) for its cache.
+def _modulus(y) -> Fraction | int:
+    """Rational lower bound for |y|: x min(1, |1 - e(g)|) for y = x (1 - e(g))."""
+    if not isinstance(y, tuple):
+        return 2 if y == 1 else abs(y)
+    x, g, dual = y
+    g = min(g, 1 - g)
+    if not dual or g >= Fraction(1, 6):
+        return x
+    return x * Fraction(math.floor(2 * math.sin(math.pi * g) * (1 - 2.0**-40) * 2**16), 2**16)
+
+
+def _recip(y, F: int) -> tuple[int, int | None]:
+    """1/y as ints (re, im) scaled by 2^F (im None if y is real), each one floor
+    of a rational or of a libmp value good to 2^-(F+12): within 2 ulps."""
+    if not isinstance(y, tuple):
+        y = Fraction(2 if y == 1 else y)
+        return (y.denominator << F) // y.numerator, None
+    x, g, dual = y
+    wp = F + 16
+    c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(g.numerator << (not dual), g.denominator, wp), wp)
+    w = libmp.from_rational(x.denominator, x.numerator, wp)
+    if dual:  # 1/(1 - e(g)) = (1 + i cot(pi g)) / 2
+        re, im = libmp.mpf_shift(w, -1), libmp.mpf_mul(libmp.mpf_shift(w, -1), libmp.mpf_div(c, s, wp), wp)
+    else:  # 1/e(g) = e(-g)
+        re, im = libmp.mpf_mul(w, c, wp), libmp.mpf_neg(libmp.mpf_mul(w, s, wp))
+    return libmp.to_fixed(re, F), libmp.to_fixed(im, F)
+
+
+def _telescope(tr: list[int], ti: list[int] | None, err: float, y, F: int):
+    """Level of letter y over terms T(n) = tr[n] + i ti[n] (n < M) within err
+    ulps: Q(0) = 0, Q(n+1) = u (Q(n) + T(n)), u = 1/y.  A step damps the
+    error by |u| < 1, adding 2 ulps of floors and 2 of u times |Q + T|."""
+    ur, ui = _recip(y, F)
+    rho = float(1 / _modulus(y)) + 2.0 ** (2 - F)
+    mag = (max(map(abs, tr)) + max(map(abs, ti or [0]))) / (1 << F) + math.ldexp(err, -F)
+    err = (rho * err + 2 * mag / (1 - rho) + 2) / (1 - rho)
+    if ti is None and ui is None:
+        return list(accumulate(tr, lambda q, t: (q + t) * ur >> F, initial=0)), None, False, err
+    ui, qr, qi = ui or 0, 0, 0
+    outr, outi = [0], [0]
+    for x, z in zip(tr, ti or [0] * len(tr)):
+        x, z = x + qr, z + qi
+        qr, qi = (x * ur - z * ui) >> F, (x * ui + z * ur) >> F
+        outr.append(qr)
+        outi.append(qi)
+    return outr, outi, False, err
+
+
+# Level states of the _li_half calls in one _mzv_split call, by (word suffix
+# from a letter, M); it lives for that call, so _li_half keys on (word, prec).
 _split_levels: ContextVar[dict | None] = ContextVar("_split_levels", default=None)
 
 
-def _inner_levels(exps: tuple[int, ...], M: int, F: int, levels: dict) -> list[int]:
-    """2^F * sum_{m > n_2 > ... > n_d >= 1} prod_{i>=2} n_i^{-e_i} for
-    m = 0..M, built level by level from the longest suffix in ``levels``."""
-    i = 1
-    while i < len(exps) and (exps[i:], M) not in levels:
-        i += 1
-    inner = levels.get((exps[i:], M)) or [1 << F] * (M + 1)
-    for j in range(i - 1, 0, -1):
-        e = exps[j]
-        # new[m] = sum over n < m of inner[n] // n^e
-        inner = [0, 0, *accumulate(inner[n] // n**e for n in range(1, M))]
-        levels[(exps[j:], M)] = inner
-    return inner
+def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int, levels: dict):
+    """State (re, im, deferred, err) of P(n) = sum_{n > n_2 > ... > n_d}
+    prod_j y_j^-(n_j - n_(j+1)) prod_{j>=2} n_j^-e_j, n = 0..M, built level
+    by level from the longest suffix in ``levels``.  While every letter so
+    far is 2, P(n) = 2^-n re[n] is deferred and re is a plain prefix sum."""
+    one, s1 = 1 << F, int(math.log(M)) + 2
+    at = [end - 1 for end in accumulate(exps)]  # where each letter sits
+    k = next((k for k, i in enumerate(at) if (word[i:], M) in levels), len(at) - 1)
+    st = levels.get((word[at[k] :], M))
+    if st is None:  # P(n) = y^-n for the last letter y
+        y = word[-1]
+        st = ([one] * (M + 1), None, True, 0) if y == 1 else _telescope([one, *[0] * (M - 1)], None, 0, y, F)
+    for j in range(k - 1, -1, -1):
+        re, im, deferred, err = st
+        e, y = exps[j + 1], word[at[j]]
+        if deferred and y == 1:
+            # new[m] = sum over n < m of re[n] // n^e
+            re = [0, 0, *accumulate(re[n] // n**e for n in range(1, M))]
+            st = (re, None, True, M - 1 + (s1 if e == 1 else 2) * err)
+        else:
+            if deferred:
+                re, err = [a >> n for n, a in enumerate(re)], err + 1
+            tr, ti = ([0, *(x[n] // n**e for n in range(1, M))] if x else None for x in (re, im))
+            st = _telescope(tr, ti, err + 2, y, F)
+        levels[(word[at[j] :], M)] = st
+    return st
 
 
 @functools.cache
-def _li_half(word: tuple[int, ...], prec: int) -> tuple[int, float]:
-    """Multiple polylogarithm at 1/2 for a {0,1} word ending in 1:
-
-        Li(word) = sum_{n_1 > ... > n_d >= 1} 2^{-n_1} / prod n_i^{e_i},
-
-    returned as (V, bound) with V an int, |Li - V 2^-F| <= bound and
-    F = prec + _LI_GUARD_BITS.
-
-    The sum is truncated at n_1 <= M and computed in fixed point: each
-    term is one floor division of an int scaled by 2^F, which loses less
-    than one ulp 2^-F and rounds down.  The prefix-sum level of exponent
-    e_j adds fewer than M - 1 ulps and carries the error of the level
-    below times at most S(e_j) = sum_{n<M} n^-e_j, which is below
-    s1 = floor(ln M) + 2 for e_j = 1 and below 2 otherwise; the outer sum
-    adds fewer than M more.  So the roundoff is below ulps * 2^-F, where
-    ulps = M + delta_2, delta_{d+1} = 0 and delta_j = M - 1 + S(e_j)
-    delta_{j+1}, an exact integer count.
+def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
+    """L = sum_{n_1 > ... > n_d >= 1} prod_j y_j^-(n_j - n_(j+1)) / n_j^e_j,
+    n_(d+1) = 0, for a word over 0 and letters y_j, |y_j| > 1, ending in a
+    letter: 1 for y = 2 (a {0,1} word gives Li at 1/2), a Fraction for
+    another real y, (x, g, dual) for y = x e(g), or x (1 - e(g)) if dual.
+    Returns (V, bound), V an int (ints (re, im) if a letter is not real),
+    |L - V 2^-F| <= bound, F = prec + _LI_GUARD_BITS.  The sum stops at
+    n_1 = M = (prec + 24) / log2 R, R the smallest |y_j|; the n_1 = m term
+    is below R^-m m^-e0 (1 + ln m)^(d-1) / (d-1)!, and past M these fall
+    by rho or more, which bounds the rest (rounded up to 2^k).  Every term
+    is a floor (under one ulp 2^-F per part); a deferred level adds M - 1
+    ulps to S(e) = sum_{n<M} n^-e < s1 = floor(ln M) + 2 (e = 1) or 2 times
+    the error below, and the outer sum adds M (2M if complex).
     """
     F = prec + _LI_GUARD_BITS
     if not word:
         return (1 << F, 0.0)
     exps = _word_to_exponents(word)
-    d = len(exps)
-    M = max(prec + 24, 4 * d + 16)
+    d, e0 = len(exps), exps[0]
+    R = min(map(_modulus, set(word) - {0}))
+    M = max(math.ceil((prec + 24) / math.log2(R)), 4 * d + 16)
+    if M * d > _MAX_TERMS:
+        raise ValueError(f"a letter of modulus {float(R):.8g} needs {M} terms per level")
     levels = _split_levels.get()
-    inner = _inner_levels(exps, M, F, {} if levels is None else levels)
-    e0 = exps[0]
-    total = sum(inner[m] // (m**e0 << m) for m in range(1, M + 1))
-    # tail: 2^{-m} m^{d-1} decays geometrically with ratio <= 0.65
-    # once m >= 4(d-1), which M satisfies
-    trunc = 2.0 * 2.0 ** (-M) * float(M + 1) ** (d - 1)
-    s1 = int(math.log(M)) + 2
-    ulps = 0
-    for e in reversed(exps[1:]):
-        ulps = M - 1 + (s1 if e == 1 else 2) * ulps
-    ulps += M
-    return (total, trunc + math.ldexp(ulps, -F))
+    re, im, deferred, err = _inner_levels(word, exps, M, F, {} if levels is None else levels)
+    m, trunc = M + 1, math.inf
+    rho = (1 + 1 / (m * (1 + math.log(m)))) ** (d - 1) / R
+    if rho < 1:
+        lg = -m * math.log2(R) - e0 * math.log2(m) + (d - 1) * math.log2(1 + math.log(m))
+        lg -= math.lgamma(d) / math.log(2) + math.log2(1 - rho)
+        trunc = math.ldexp(1.0, max(math.ceil(lg + 1e-9 * (1 + abs(lg))), -1074))
+    if deferred:
+        return (sum(re[m] // (m**e0 << m) for m in range(1, M + 1)), trunc + math.ldexp(M + err, -F))
+    total = sum(re[m] // m**e0 for m in range(1, M + 1))
+    if im is not None:
+        total = (total, sum(im[m] // m**e0 for m in range(1, M + 1)))
+    return (total, trunc + math.ldexp(2 * M + (int(math.log(M)) + 2 if e0 == 1 else 2) * err, -F))
 
 
-def _mzv_word(exps: Sequence[int]) -> tuple[int, ...]:
-    word: list[int] = []
-    for s in exps:
-        word.extend([0] * (s - 1) + [1])
-    return tuple(word)
+def mzv_eval(
+    exps: Sequence[int],
+    colors: Sequence[Fraction] | None = None,
+    cfg: EvalConfig = DEFAULT_CONFIG,
+) -> EvalResult:
+    """Evaluate a (colored) MZV, leading slot first; depth >= 2 by _mzv_split."""
+    exps = tuple(exps)
+    cols = tuple(Fraction(c) % 1 for c in (colors if colors is not None else [0] * len(exps)))
+    if len(exps) != len(cols):
+        raise ValueError("exponent/color length mismatch")
+    if any(not isinstance(e, int) or e < 1 for e in exps):
+        raise ValueError(f"integer exponents >= 1 required, got {exps}")
+    if exps[0] < 2:
+        raise ValueError(f"leading exponent must be >= 2 for evaluation, got {exps}")
+    if len(exps) == 1:
+        if cols[0] == 0:
+            return zeta_int(exps[0], cfg)
+        return lerch_phi(exps[0], cols[0], cfg)
+    return _mzv_split(exps, cols, cfg)
 
 
-def _mzv_split_half(exps: Sequence[int], cfg: EvalConfig) -> EvalResult:
-    """zeta(exps) = sum over splits of the word w = uv of
-    Li(dual(reverse(u))) * Li(v), both at 1/2.
-
-    The products are summed exactly as ints scaled by 2^(2F) and rounded
-    to the working precision once, so the only roundoff beyond the
-    _li_half bounds is that last rounding."""
+def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfig) -> EvalResult:
+    """zeta(exps; cols), any depth, by the Hoelder convolution (Borwein,
+    Bradley, Broadhurst, Lisonek, Trans. AMS 2001).  Slot j writes s_j - 1
+    zeros and the letter e(G_j), G_j = -(h_1 + ... + h_j).  With
+    I(c_1..c_n) = int_{1>t_1>...>t_n>0} prod dt_i / (t_i - c_i), zeta is
+    (-1)^d I(w), and Chen's rule at 1/p, 1/p + 1/q = 1, gives I(w) = sum
+    over cuts of (-1)^cut I(q(1-c_cut), ..., q(1-c_1)) I(p c_(cut+1), ...,
+    p c_n), each factor (-1)^(its letters) _li_half.  For rational
+    r <= min(1, |1 - e(G_j)|), p = 1 + r and q = 1 + 1/r, every letter has
+    modulus >= 1 + r (trivial colors: p = q = 2).  The products are summed
+    exactly in ints scaled by 2^(2F) and rounded once."""
     prec = cfg.precision_bits + _GUARD_BITS
     F = prec + _LI_GUARD_BITS
     one = 1 << F
-    word = _mzv_word(exps)
-    total = 0
-    bound = 0.0
+    word, G = [], Fraction(0)  # None for the letter 0, else G for e(G)
+    for s, h in zip(exps, cols):
+        G = (G - h) % 1 if h else G
+        word += [None] * (s - 1) + [G]
+    r = min((_modulus((1, c, True)) for c in set(word) - {None, 0}), default=1)
+    if r == 0:
+        raise ValueError("a color this close to 0 is beyond the term budget")
+    p, q = (2, 2) if r == 1 else (1 + r, 1 + 1 / r)  # every letter has modulus >= 1 + r
+    lq, lp = (1 if q == 2 else q), (1 if p == 2 else p)
+    lw = tuple(lq if c is None else 0 if c == 0 else (q, c, True) for c in word)
+    rw = tuple(0 if c is None else lp if c == 0 else (p, c, False) for c in word)
+    re, im, bound = 0, 0, 0.0
     token = _split_levels.set({})
     try:
         for cut in range(len(word) + 1):
-            left = tuple(1 - c for c in reversed(word[:cut]))
-            lv, lb = _li_half(left, prec)
-            rv, rb = _li_half(word[cut:], prec)
-            total += lv * rv
-            bound += lv / one * rb + rv / one * lb + lb * rb
+            left, right = lw[:cut][::-1], rw[cut:]
+            (lv, lb), (rv, rb) = _li_half(left, prec), _li_half(right, prec)
+            lr, li = lv if isinstance(lv, tuple) else (lv, 0)
+            rr, ri = rv if isinstance(rv, tuple) else (rv, 0)
+            sign = (-1) ** (len(exps) + cut + len(word) - left.count(0) - right.count(0))
+            re += sign * (lr * rr - li * ri)
+            im += sign * (lr * ri + li * rr)
+            lm, rm = math.hypot(lr / one, li / one), math.hypot(rr / one, ri / one)
+            bound += lm * rb + rm * lb + lb * rb
     finally:
         _split_levels.reset(token)
-    value = mp.make_mpf(libmp.from_man_exp(total, -2 * F, prec, "n"))
-    return EvalResult(value, bound + float(value) * _eps(prec))
+    value = mp.make_mpf(libmp.from_man_exp(re, -2 * F, prec, "n"))
+    if im:
+        value = mp.make_mpc((value._mpf_, libmp.from_man_exp(im, -2 * F, prec, "n")))
+    return EvalResult(value, bound + math.hypot(re / one / one, im / one / one) * _eps(prec))
 
 
 # ---------------------------------------------------------------------------
-# colored MZVs by truncated prefix sums
-
-
-def _log_tail_integral(sigma: float, p: int, N: int) -> float:
-    """Upper bound for the integral over [N, inf) of x^(-sigma) (1+ln x)^p dx,
-    finite for sigma > 1 (exact recursion in p after u = ln x)."""
-    a = sigma - 1.0
-    if a <= 0:
-        return math.inf
-    L = math.log(N)
-    e = math.exp(-a * L)
-    out = e / a  # p = 0
-    for j in range(1, p + 1):
-        out = (1.0 + L) ** j * e / a + (j / a) * out
-    return out
+# MT values: conversion route and direct truncated summation
 
 
 def _phase_array(m: np.ndarray, color: Fraction) -> np.ndarray:
@@ -395,74 +462,6 @@ def _phase_array(m: np.ndarray, color: Fraction) -> np.ndarray:
     q = color.denominator
     roots = np.exp(2j * np.pi * (color.numerator % q) * np.arange(q) / q)
     return roots[np.mod(m, q)]
-
-
-def _mzv_colored_dp(
-    exps: Sequence[int], colors: Sequence[Fraction], cfg: EvalConfig
-) -> EvalResult:
-    k = len(exps)
-    s1 = exps[0]
-    if s1 < 2:
-        raise ValueError("colored MZV evaluation needs leading exponent >= 2")
-    target = max(cfg.target_tol, 1e-13)
-    N = 64
-    nmax = max(1024, _MAX_TERMS // max(k, 1))
-    while _log_tail_integral(s1, k - 1, N) > target and N < nmax:
-        N *= 2
-    N = min(N, nmax)
-    m = np.arange(1, N + 1)
-    mm = m.astype(np.float64)
-    acc = None
-    for e, g in zip(reversed(tuple(exps)), reversed(tuple(colors))):
-        base = mm ** float(-e) * _phase_array(m, g)
-        if acc is None:
-            acc = base
-        else:
-            inner = np.concatenate(([0.0], np.cumsum(acc)[:-1]))
-            acc = base * inner
-    value = complex(np.sum(acc))
-    trunc = _log_tail_integral(s1, k - 1, N)
-    eps = 2.0 ** -52
-    s_abs = float(np.sum(np.abs(acc)))
-    damped = float(np.sum(mm ** (1.0 - s1) * (1.0 + np.log(mm)) ** (k - 1)))
-    roundoff = eps * ((2 * math.log2(N) + 8) * s_abs + 2 * k * damped)
-    return EvalResult(mpc(value), trunc + roundoff)
-
-
-def mzv_eval(
-    exps: Sequence[int],
-    colors: Sequence[Fraction] | None = None,
-    cfg: EvalConfig = DEFAULT_CONFIG,
-) -> EvalResult:
-    """Evaluate a (colored) MZV, leading slot first.
-
-    Trivial colors go through the exact integral-splitting route (full
-    working precision); nontrivial colors through truncated prefix sums
-    with an integral tail majorant (double precision, bound-reported).
-    """
-    exps = tuple(exps)
-    if colors is None:
-        colors = (Fraction(0),) * len(exps)
-    cols = tuple(Fraction(c) % 1 for c in colors)
-    if len(exps) != len(cols):
-        raise ValueError("exponent/color length mismatch")
-    if any(not isinstance(e, int) or e < 1 for e in exps):
-        raise ValueError(f"integer exponents >= 1 required, got {exps}")
-    if exps[0] < 2:
-        raise ValueError(
-            f"leading exponent must be >= 2 for evaluation, got {exps}"
-        )
-    if len(exps) == 1:
-        if cols[0] == 0:
-            return zeta_int(exps[0], cfg)
-        return lerch_phi(exps[0], cols[0], cfg)
-    if all(c == 0 for c in cols):
-        return _mzv_split_half(exps, cfg)
-    return _mzv_colored_dp(exps, cols, cfg)
-
-
-# ---------------------------------------------------------------------------
-# MT values: conversion route and direct truncated summation
 
 
 def mt_via_mzv(

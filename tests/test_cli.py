@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import mtzeta
 from mtzeta import mzvconvert
 from mtzeta.cli import identity_from_json, identity_to_json, main, parse_complex
@@ -94,6 +96,50 @@ def test_convert_budget_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(mzvconvert, "_MAX_STEPS", 10)
     assert main(["convert", "--s", "2,2,2,2"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_convert_budget_bounds_memory_at_depth_60():
+    # each emitted term costs its key length, so the budget that stops this
+    # depth-60 conversion also bounds its memory.  The child reports VmHWM,
+    # the peak of its own address space: on Linux its ru_maxrss would also
+    # count the peak of this process, inherited across exec.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    child = (
+        "import re, sys\n"
+        "from mtzeta.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "hwm = re.search(r'VmHWM:\\s+(\\d+)', open('/proc/self/status').read()).group(1)\n"
+        "print('VmHWM_kB', hwm, file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    k = 60
+    colors = ",".join(f"{i}/{k + 1}" for i in range(1, k + 1)) + ",0"
+    src = str(Path(mtzeta.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "convert", "--s", ",".join(["1"] * k + ["2"]), "--colors", colors],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "budget" in proc.stderr
+    peak_mb = int(proc.stderr.split("VmHWM_kB")[1].split()[0]) / 1024
+    assert peak_mb < 200, peak_mb
+
+
+def test_verify_inconclusive_warning():
+    # passes with bound 0.032 against tol 1e-6: stdout and exit code as
+    # before, plus a warning on stderr
+    rc, out, err = run_cli(
+        "verify", "--s", "1,2,3", "--alpha", "1/3", "--z", "2+1i", "--precision-bits", "128", "--tol", "1e-6"
+    )
+    assert rc == 0 and json.loads(out)["pass"]
+    assert json.loads(out)["bound"] > 1e-6
+    assert err.startswith("inconclusive: bound ") and "exceeds tol 1.0e-06" in err
+    rc, out, err = run_cli("verify", "--s", "2,3", "--alpha", "0", "--z", "2", "--tol", "1e-8")
+    assert rc == 0 and json.loads(out)["pass"]
+    assert err == ""
 
 
 def test_eval_direct_route(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from mtzeta.numerics import (
@@ -403,3 +403,111 @@ def test_precision_ceiling_keeps_bounds_normal():
     _, li_bound = _li_half((0, 1, 1, 0, 0, 1), _MAX_PRECISION_BITS + _GUARD_BITS)
     for bound in (li_bound, mzv_eval((3, 2, 1), cfg=cfg).bound, zeta_int(3, cfg).bound):
         assert bound >= sys.float_info.min
+
+
+def _log_tail_integral(sigma: float, p: int, N: int) -> float:
+    """Upper bound for the integral over [N, inf) of x^(-sigma) (1+ln x)^p dx,
+    finite for sigma > 1 (exact recursion in p after u = ln x)."""
+    a = sigma - 1.0
+    if a <= 0:
+        return math.inf
+    L = math.log(N)
+    e = math.exp(-a * L)
+    out = e / a  # p = 0
+    for j in range(1, p + 1):
+        out = (1.0 + L) ** j * e / a + (j / a) * out
+    return out
+
+
+def _mzv_colored_dp(exps, colors, cfg=CFG):
+    """The float64 prefix-sum route colored MZVs took before the split at 1/p
+    covered every color, kept as the oracle: (value, bound) with the target
+    floored at 1e-13 and an integral tail majorant."""
+    from mtzeta.numerics import _MAX_TERMS, _phase_array
+
+    k = len(exps)
+    s1 = exps[0]
+    target = max(cfg.target_tol, 1e-13)
+    N = 64
+    nmax = max(1024, _MAX_TERMS // max(k, 1))
+    while _log_tail_integral(s1, k - 1, N) > target and N < nmax:
+        N *= 2
+    N = min(N, nmax)
+    m = np.arange(1, N + 1)
+    mm = m.astype(np.float64)
+    acc = None
+    for e, g in zip(reversed(tuple(exps)), reversed(tuple(colors))):
+        base = mm ** float(-e) * _phase_array(m, Fraction(g))
+        if acc is None:
+            acc = base
+        else:
+            inner = np.concatenate(([0.0], np.cumsum(acc)[:-1]))
+            acc = base * inner
+    value = complex(np.sum(acc))
+    trunc = _log_tail_integral(s1, k - 1, N)
+    s_abs = float(np.sum(np.abs(acc)))
+    damped = float(np.sum(mm ** (1.0 - s1) * (1.0 + np.log(mm)) ** (k - 1)))
+    roundoff = 2.0**-52 * ((2 * math.log2(N) + 8) * s_abs + 2 * k * damped)
+    return value, trunc + roundoff
+
+
+@st.composite
+def _colored_mzvs(draw):
+    # depth <= 4, weight <= 9, leading exponent >= 2; denominators up to 12
+    # give p = 2 or close to it, while 13, 20 and 50 need p well below 2
+    depth = draw(st.integers(min_value=1, max_value=4))
+    exps = (draw(st.integers(min_value=2, max_value=6)),)
+    exps += tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(depth - 1))
+    assume(sum(exps) <= 9)
+    den = draw(st.sampled_from([*range(1, 13), 13, 20, 50]))
+    return exps, tuple(Fraction(draw(st.integers(min_value=0, max_value=den - 1)), den) for _ in exps)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_colored_mzvs(), st.integers(min_value=64, max_value=300))
+def test_mzv_split_bound_sound(word, bits):
+    from mtzeta.numerics import _mzv_split
+
+    exps, colors = word
+    assert len(exps) <= 4 and sum(exps) <= 9 and exps[0] >= 2
+    cfg = EvalConfig(precision_bits=bits)
+    got = _mzv_split(exps, colors, cfg)
+    ref = _mzv_split(exps, colors, EvalConfig(precision_bits=2 * bits))
+    with mp.workprec(4 * bits + 64):
+        v = mp.mpc(got.value)
+        assert float(abs(v - mp.mpc(ref.value))) <= got.bound, word
+        if len(exps) == 1:
+            phi = lerch_phi(exps[0], colors[0], EvalConfig(precision_bits=2 * bits))
+            assert float(abs(v - mp.mpc(phi.value))) <= got.bound + phi.bound, word
+        else:
+            dp, dp_bound = _mzv_colored_dp(exps, colors, cfg)
+            assert float(abs(v - dp)) <= got.bound + dp_bound, word
+
+
+def test_li_half_colored_depth1():
+    # one letter y: L = sum_n y^-n / n^e = Li_e(1/y), for y = p e(g) and
+    # y = q (1 - e(g)) with p < 2, as the split takes for the color 1/13
+    from mtzeta.numerics import _LI_GUARD_BITS, _li_half
+
+    r = Fraction(25, 64)
+    p, q = 1 + r, 1 + 1 / r
+    for letter in [(p, Fraction(1, 13), False), (q, Fraction(1, 13), True)]:
+        for e in (1, 2, 5):
+            (vr, vi), bound = _li_half((0,) * (e - 1) + (letter,), 160)
+            with mp.workprec(400):
+                root = mp.expjpi(mp.mpf(2) / 13)
+                y = mp.mpf(q.numerator) / q.denominator * (1 - root) if letter[2] else mp.mpf(p.numerator) / p.denominator * root
+                got = mp.mpc(*(mp.ldexp(v, -(160 + _LI_GUARD_BITS)) for v in (vr, vi)))
+                li = mp.fsum(y**-n / mp.mpf(n) ** e for n in range(1, 1200))  # |1/y| < 0.72
+                assert float(abs(got - li)) <= bound, (letter, e)
+
+
+def test_colored_mzv_meets_default_target():
+    # colored values certify at working precision, with no 1e-13 floor
+    assert mzv_eval((2, 1), (Fraction(1, 3), Fraction(0))).bound <= 1e-32
+
+
+def test_mt_3x6_certifies_35_digits_at_128_bits():
+    # 273 MZVs whose split factors reach depth 14: the tail majorant must
+    # grow like (ln M)^(d-1), not like M^(d-1)
+    assert mt_via_mzv((3,) * 6, cfg=EvalConfig(precision_bits=128)).bound <= 1e-35

@@ -197,7 +197,8 @@ def test_finite_sum_check_cases(s, subset, alpha, z0, N):
 
 def test_numeric_truth_small_grid():
     # identities hold numerically at several z and colors; bounds may be
-    # weak on colored paths but must contain the residual
+    # weak on the direct-summation path (z = 3/2) but must contain the
+    # residual
     cfg = EvalConfig(precision_bits=160, target_tol=1e-12)
     for s in [(1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1), (2, 1, 1), (2, 2, 3)]:
         for alpha in (0, Fraction(1, 2), Fraction(1, 3)):
