@@ -12,11 +12,13 @@ Evaluation routes:
 * even zeta values are exact rationals times a power of pi;
 * Riemann/Hurwitz zeta by Euler-Maclaurin with the explicit remainder,
   for Re(s) > 1 (absolute convergence; nothing is continued analytically);
-* Lerch (periodic zeta) at rational color p/q via the q-term Hurwitz sum;
-* MZVs of depth >= 2, of every color, by splitting the iterated integral
-  at 1/p into products of geometrically convergent nested sums, in fixed
-  point on ints scaled by 2^F: roundoff is a count of ulps 2^-F, and
-  mpmath's global precision is never read or set;
+* Lerch (periodic zeta) at rational color p/q and a non-integer exponent
+  (a substituted complex z) via the q-term Hurwitz sum;
+* MZVs of every depth and color with integer exponents, the depth-1 values
+  (Lerch values and odd zeta(n)) included, by splitting the iterated
+  integral at 1/p into products of geometrically convergent nested sums,
+  in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F,
+  and mpmath's global precision is never read or set;
 * MT values either through the exact rewriting into MZVs (integer
   exponents) or by direct truncated summation (depth <= 3).
 """
@@ -58,7 +60,7 @@ _GUARD_BITS = 16
 # Fraction bits of the fixed-point _li_half kernel beyond the working
 # precision; they keep its counted roundoff far below eps.
 _LI_GUARD_BITS = 48
-# Term budget of the truncated-sum routes (colored MZVs, direct MT sums).
+# Term budget of the truncated-sum routes (split factors, direct MT sums).
 _MAX_TERMS = 4_000_000
 # Largest precision_bits whose bound terms stay normal floats.  The
 # smallest scale any bound term carries is the ulp 2^-F of _li_half, with
@@ -114,7 +116,7 @@ def _eps(prec: int) -> float:
 _mp_lock = threading.RLock()
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _pi(prec: int):
     with mp.workprec(prec):
         return +mp.pi
@@ -157,10 +159,11 @@ def even_zeta(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
 
 
 def zeta_int(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """zeta(n) for integer n >= 2 (even: closed form; odd: Euler-Maclaurin)."""
+    """zeta(n) for integer n >= 2 (even: closed form; odd: lerch_phi, i.e.
+    the split kernel)."""
     if n % 2 == 0:
         return even_zeta(n, cfg)
-    return hurwitz_zeta(n, Fraction(1), cfg)
+    return lerch_phi(n, Fraction(0), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +235,16 @@ def lerch_phi(
     """phi(s, alpha) = sum_{m>=1} e(m alpha)/m^s for rational alpha and
     Re(s) > 1.
 
-    Computed as q^{-s} * sum_{a=1}^{q} e(a p/q) zeta(s, a/q) with q the
-    reduced denominator; trivial color is plain zeta.
+    An int s >= 2 makes the depth-1 MZV zeta(s; alpha), which _mzv_split
+    evaluates at a cost set by the distance of alpha from 0, not by its
+    denominator (even zeta(s) keeps its closed form).  Any other s, such
+    as a substituted complex z, is computed as q^{-s} * sum_{a=1}^{q}
+    e(a p/q) zeta(s, a/q) with q the reduced denominator; trivial color is
+    plain zeta.
     """
     alpha = Fraction(alpha) % 1
+    if isinstance(s, int) and s >= 2:
+        return even_zeta(s, cfg) if alpha == 0 and s % 2 == 0 else _mzv_split((s,), (alpha,), cfg)
     if alpha == 0:
         return hurwitz_zeta(s, Fraction(1), cfg)
     prec = cfg.precision_bits + _GUARD_BITS
@@ -321,8 +330,9 @@ def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int, levels: di
     """State (re, im, deferred, err) of P(n) = sum_{n > n_2 > ... > n_d}
     prod_j y_j^-(n_j - n_(j+1)) prod_{j>=2} n_j^-e_j, n = 0..M, built level
     by level from the longest suffix in ``levels``.  While every letter so
-    far is 2, P(n) = 2^-n re[n] is deferred and re is a plain prefix sum."""
-    one, s1 = 1 << F, int(math.log(M)) + 2
+    far is 2, P(n) = 2^-n re[n] is deferred, re is a plain prefix sum and
+    its error is at most err * n ulps at n; otherwise err is uniform."""
+    one = 1 << F
     at = [end - 1 for end in accumulate(exps)]  # where each letter sits
     k = next((k for k, i in enumerate(at) if (word[i:], M) in levels), len(at) - 1)
     st = levels.get((word[at[k] :], M))
@@ -333,19 +343,35 @@ def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int, levels: di
         re, im, deferred, err = st
         e, y = exps[j + 1], word[at[j]]
         if deferred and y == 1:
-            # new[m] = sum over n < m of re[n] // n^e
+            # new[m] = sum over n < m of re[n] // n^e: m - 1 floors, and
+            # errors err * n / n^e <= err, so (err + 1) m ulps in all
             re = [0, 0, *accumulate(re[n] // n**e for n in range(1, M))]
-            st = (re, None, True, M - 1 + (s1 if e == 1 else 2) * err)
+            st = (re, None, True, err + 1)
         else:
-            if deferred:
-                re, err = [a >> n for n, a in enumerate(re)], err + 1
+            if deferred:  # err * n / 2^n <= err / 2, and one floor
+                re, err = [a >> n for n, a in enumerate(re)], err / 2 + 1
             tr, ti = ([0, *(x[n] // n**e for n in range(1, M))] if x else None for x in (re, im))
             st = _telescope(tr, ti, err + 2, y, F)
         levels[(word[at[j] :], M)] = st
     return st
 
 
-@functools.cache
+def _li_terms(word: tuple, prec: int) -> tuple[int, Fraction | int]:
+    """(M, R) of _li_half(word, prec): R the smallest letter modulus, M the
+    terms per level.  Raises ValueError when M times the depth passes
+    _MAX_TERMS."""
+    d = len(word) - word.count(0)
+    R = min(map(_modulus, set(word) - {0}))
+    # the floor, 4d + 16 rounded up to a power of two, keeps rho < 1; a
+    # power of two, so that the deep cuts of one split share their levels
+    M = max(math.ceil((prec + 24) / math.log2(R)), 1 << (4 * d + 15).bit_length())
+    if M * d > _MAX_TERMS:
+        raise ValueError(f"a letter of modulus {float(R):.8g} needs {M} terms per level")
+    return M, R
+
+
+# 16,384 entries: one colored-characters case list at 128 bits fills 4,256
+@functools.lru_cache(maxsize=1 << 14)
 def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
     """L = sum_{n_1 > ... > n_d >= 1} prod_j y_j^-(n_j - n_(j+1)) / n_j^e_j,
     n_(d+1) = 0, for a word over 0 and letters y_j, |y_j| > 1, ending in a
@@ -353,22 +379,22 @@ def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
     another real y, (x, g, dual) for y = x e(g), or x (1 - e(g)) if dual.
     Returns (V, bound), V an int (ints (re, im) if a letter is not real),
     |L - V 2^-F| <= bound, F = prec + _LI_GUARD_BITS.  The sum stops at
-    n_1 = M = (prec + 24) / log2 R, R the smallest |y_j|; the n_1 = m term
-    is below R^-m m^-e0 (1 + ln m)^(d-1) / (d-1)!, and past M these fall
-    by rho or more, which bounds the rest (rounded up to 2^k).  Every term
-    is a floor (under one ulp 2^-F per part); a deferred level adds M - 1
-    ulps to S(e) = sum_{n<M} n^-e < s1 = floor(ln M) + 2 (e = 1) or 2 times
-    the error below, and the outer sum adds M (2M if complex).
+    n_1 = M >= (prec + 24) / log2 R (_li_terms), R the smallest |y_j|; the
+    n_1 = m term is below R^-m m^-e0 (1 + ln m)^(d-1) / (d-1)!, and past M
+    these fall by rho or more, which bounds the rest (rounded up to 2^k).
+    Every term is a floor (under one ulp 2^-F per part): on a run of
+    deferred levels the error at n grows by n ulps a level (_inner_levels),
+    and the outer sum adds M (2M if complex) to S(e0) = sum_{n<M} n^-e0 <
+    floor(ln M) + 2 (e0 = 1) or 2 times the uniform error of a level that
+    is not deferred (sum_n n 2^-n / n^e0 <= 1 times the slope of one that
+    is).
     """
     F = prec + _LI_GUARD_BITS
     if not word:
         return (1 << F, 0.0)
     exps = _word_to_exponents(word)
     d, e0 = len(exps), exps[0]
-    R = min(map(_modulus, set(word) - {0}))
-    M = max(math.ceil((prec + 24) / math.log2(R)), 4 * d + 16)
-    if M * d > _MAX_TERMS:
-        raise ValueError(f"a letter of modulus {float(R):.8g} needs {M} terms per level")
+    M, R = _li_terms(word, prec)
     levels = _split_levels.get()
     re, im, deferred, err = _inner_levels(word, exps, M, F, {} if levels is None else levels)
     m, trunc = M + 1, math.inf
@@ -390,7 +416,9 @@ def mzv_eval(
     colors: Sequence[Fraction] | None = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
-    """Evaluate a (colored) MZV, leading slot first; depth >= 2 by _mzv_split."""
+    """Evaluate a (colored) MZV, leading slot first, by _mzv_split; at depth
+    1 through lerch_phi, whose one other route for an int exponent is the
+    closed form of even zeta(n)."""
     exps = tuple(exps)
     cols = tuple(Fraction(c) % 1 for c in (colors if colors is not None else [0] * len(exps)))
     if len(exps) != len(cols):
@@ -431,6 +459,10 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
     lq, lp = (1 if q == 2 else q), (1 if p == 2 else p)
     lw = tuple(lq if c is None else 0 if c == 0 else (q, c, True) for c in word)
     rw = tuple(0 if c is None else lp if c == 0 else (p, c, False) for c in word)
+    # every cut's factor is a suffix of lw reversed or of rw, so it has no
+    # more letters and no smaller modulus: these two bound all the work
+    for w in (lw[::-1], rw):
+        _li_terms(w, prec)
     re, im, bound = 0, 0, 0.0
     token = _split_levels.set({})
     try:
@@ -578,7 +610,8 @@ def mt_direct(
 # whole-expression evaluation
 
 
-@functools.cache
+# 4,096 entries: one colored-characters case list fills 1,104
+@functools.lru_cache(maxsize=1 << 12)
 def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
     if isinstance(a, EvenZeta):
         return even_zeta(a.n, cfg)

@@ -142,6 +142,16 @@ def test_verify_inconclusive_warning():
     assert err == ""
 
 
+def test_verify_fine_colors(capsys):
+    # 1/1000 takes the split kernel instead of 1000 Hurwitz sums per Lerch
+    # value; 1/100000 is over the term budget and exits 2 before any work
+    assert main(["verify", "--s", "2,2", "--alpha", "1/1000", "--z", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    rc, out, err = run_cli("verify", "--s", "2,2", "--alpha", "1/100000", "--z", "2")
+    assert rc == 2 and out == ""
+    assert "terms per level" in err
+
+
 def test_eval_direct_route(capsys):
     assert main(["eval", "--s", "1,1", "--z", "1.5", "--alpha", "0"]) == 0
     data = json.loads(capsys.readouterr().out)

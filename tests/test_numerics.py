@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -451,6 +452,125 @@ def _mzv_colored_dp(exps, colors, cfg=CFG):
     return value, trunc + roundoff
 
 
+_hurwitz = functools.cache(hurwitz_zeta)
+
+
+def _lerch_hurwitz(s, alpha, cfg=CFG):
+    """phi(s, alpha) = q^-s sum_{r=1}^q e(r alpha) zeta(s, r/q) from the
+    public hurwitz_zeta, with the bound lerch_phi gave before integer
+    exponents took the split kernel, kept as the depth-1 oracle."""
+    from mtzeta.numerics import _GUARD_BITS, _e_of, _eps
+
+    alpha = Fraction(alpha) % 1
+    if alpha == 0:
+        return _hurwitz(s, Fraction(1), cfg)
+    q = alpha.denominator
+    prec = cfg.precision_bits + _GUARD_BITS
+    with mp.workprec(prec):
+        total, bound = mp.mpc(0), 0.0
+        for r in range(1, q + 1):
+            hz = _hurwitz(s, Fraction(r, q), cfg)
+            total += _e_of(alpha * r, prec) * mp.mpc(hz.value)
+            bound += hz.bound + float(abs(mp.mpc(hz.value))) * 4 * _eps(prec)
+        scale = mp.mpf(q) ** -s
+        value = scale * total
+        return EvalResult(value, float(scale) * bound + float(abs(value)) * (q + 8) * _eps(prec))
+
+
+def test_integer_lerch_matches_hurwitz_sum():
+    # integer-exponent Lerch values take the split kernel: each lies within
+    # both bounds of the Hurwitz sum, with a bound no looser than its bound
+    colors = {Fraction(a, q) for q in (*range(1, 13), 13, 20, 50) for a in range(q)}
+    for bits in (64, 128, 300):
+        cfg = EvalConfig(precision_bits=bits)
+        for s in range(2, 9):
+            for alpha in sorted(colors):
+                got, ref = lerch_phi(s, alpha, cfg), _lerch_hurwitz(s, alpha, cfg)
+                with mp.workprec(2 * bits + 64):
+                    err = float(abs(mp.mpc(got.value) - mp.mpc(ref.value)))
+                assert err <= got.bound + ref.bound, (s, alpha, bits)
+                assert got.bound <= ref.bound, (s, alpha, bits, got.bound, ref.bound)
+
+
+def test_deferred_levels_error_within_slope():
+    # while every letter is 2, level n holds X(n) 2^F, X(n) = sum over
+    # n' < n of X_below(n') / n'^e, within err * n ulps (the floors round
+    # down, so the error is near (d - 1) n / 2)
+    from mtzeta.numerics import _inner_levels, _word_to_exponents
+
+    F, M = 112, 90
+    for word in [(1, 1), (1,) * 6, (0, 1, 0, 0, 1, 1), (1, 0, 0, 1, 0, 1, 1)]:
+        exps = _word_to_exponents(word)
+        re, im, deferred, err = _inner_levels(word, exps, M, F, {})
+        assert deferred and im is None
+        exact = [Fraction(1)] * (M + 1)
+        for e in reversed(exps[1:]):
+            exact = [Fraction(0), Fraction(0), *itertools.accumulate(exact[n] / n**e for n in range(1, M))]
+        assert all(abs(re[n] - x * 2**F) <= err * n for n, x in enumerate(exact)), word
+
+
+def test_deep_runs_certify_at_working_precision():
+    # a run of d letters 2 adds about d ulps to the bound, not M (ln M)^d:
+    # deep words, zeta(s) and phi(s, 1/3) at large s, and MT(2,40;2) keep
+    # bounds at the working precision
+    from mtzeta.numerics import _LI_GUARD_BITS, _li_half
+
+    for word, prec in [((1,) * 30, 96), ((0, 1) * 20, 160), ((1,) * 60, 200)]:
+        v, bound = _li_half(word, prec)
+        ref, _ = _li_half_mpf(word, 2 * prec)
+        with mp.workprec(4 * prec):
+            assert float(abs(mp.ldexp(mp.mpf(v), -(prec + _LI_GUARD_BITS)) - ref)) <= bound, word
+        assert bound <= 2.0**-prec, (word, bound)
+    cfg = EvalConfig(precision_bits=128)
+    for s in (21, 41, 101):
+        for alpha in (Fraction(0), Fraction(1, 3)):
+            got, ref = lerch_phi(s, alpha, cfg), _lerch_hurwitz(s, alpha, cfg)
+            with mp.workprec(320):
+                err = float(abs(mp.mpc(got.value) - mp.mpc(ref.value)))
+            assert err <= got.bound + ref.bound, (s, alpha)
+            assert got.bound <= ref.bound, (s, alpha, got.bound, ref.bound)
+    assert mt_via_mzv((2, 40, 2), cfg=cfg).bound <= 1e-35
+
+
+def test_integer_depth1_skips_hurwitz(monkeypatch, capsys):
+    # colored Lerch values, odd zeta(n) and a character identity at integer
+    # z never reach the Euler-Maclaurin Hurwitz sums
+    import mtzeta.numerics as num
+    from mtzeta.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"hurwitz_zeta{args}")
+
+    monkeypatch.setattr(num, "hurwitz_zeta", refuse)
+    num._eval_atom.cache_clear()
+    lerch_phi(3, Fraction(1, 7))
+    zeta_int(5)
+    assert main(["verify", "--s", "2,3", "--chi", "7,3", "--z", "2", "--precision-bits", "128"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+
+
+def test_fine_color_refused_before_any_work(monkeypatch):
+    # a factor word over the term budget is refused before the first
+    # _li_half call, not after the cuts ahead of it have been summed
+    import mtzeta.numerics as num
+
+    calls = []
+    li_half = num._li_half
+
+    def counting(word, prec):
+        calls.append(word)
+        return li_half(word, prec)
+
+    monkeypatch.setattr(num, "_li_half", counting)
+    for fine in (
+        lambda: mzv_eval((2, 1), (Fraction(1, 100000), 0)),
+        lambda: lerch_phi(2, Fraction(1, 100000)),
+    ):
+        with pytest.raises(ValueError, match="terms per level"):
+            fine()
+        assert calls == []
+
+
 @st.composite
 def _colored_mzvs(draw):
     # depth <= 4, weight <= 9, leading exponent >= 2; denominators up to 12
@@ -477,7 +597,7 @@ def test_mzv_split_bound_sound(word, bits):
         v = mp.mpc(got.value)
         assert float(abs(v - mp.mpc(ref.value))) <= got.bound, word
         if len(exps) == 1:
-            phi = lerch_phi(exps[0], colors[0], EvalConfig(precision_bits=2 * bits))
+            phi = _lerch_hurwitz(exps[0], colors[0], EvalConfig(precision_bits=2 * bits))
             assert float(abs(v - mp.mpc(phi.value))) <= got.bound + phi.bound, word
         else:
             dp, dp_bound = _mzv_colored_dp(exps, colors, cfg)
