@@ -26,7 +26,7 @@ from . import __version__
 from .bernprod import carlitz_product, expand_by_partitions, expand_by_subsets, naive_product
 from .dirichlet import character_identities, enumerate_characters, gauss_sum, mt_l_value
 from .mzvconvert import mt_to_mzv
-from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, EvalConfig, mt_direct, mt_via_mzv
+from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, EvalConfig, lerch_phi, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
 from .symexpr import _frac_str, atom_from_json, atom_to_json, expr_from_json, expr_to_json
@@ -385,8 +385,10 @@ def _cmd_eval(args) -> int:
         else:
             exps = s
         colors = (Fraction(0),) * (len(exps) - 1) + (alpha,)
-        integral = all(isinstance(e, int) for e in exps)
-        if integral and len(exps) >= 2:
+        if len(exps) == 1:
+            result = lerch_phi(exps[0], alpha, cfg)
+            route = "lerch"
+        elif all(isinstance(e, int) for e in exps):
             result = mt_via_mzv(exps, colors, cfg)
             route = "conversion"
         else:

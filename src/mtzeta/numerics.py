@@ -20,14 +20,14 @@ Evaluation routes:
   in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F,
   and mpmath's global precision is never read or set;
 * MT values either through the exact rewriting into MZVs (integer
-  exponents) or by direct truncated summation (depth <= 3).
+  exponents) or by direct truncated summation, as one-dimensional
+  convolutions over the totals, in float64.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import os
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -118,13 +118,13 @@ _mp_lock = threading.RLock()
 
 @functools.lru_cache(maxsize=64)
 def _pi(prec: int):
-    with mp.workprec(prec):
+    with _mp_lock, mp.workprec(prec):
         return +mp.pi
 
 
 def _e_of(x: Fraction, prec: int):
     """e(x) = exp(2 pi i x) for exact rational x."""
-    with mp.workprec(prec):
+    with _mp_lock, mp.workprec(prec):
         return mp.expjpi(2 * mpf(x.numerator) / mpf(x.denominator))
 
 
@@ -488,12 +488,33 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
 # MT values: conversion route and direct truncated summation
 
 
-def _phase_array(m: np.ndarray, color: Fraction) -> np.ndarray:
-    if color == 0:
-        return np.ones(len(m))
-    q = color.denominator
-    roots = np.exp(2j * np.pi * (color.numerator % q) * np.arange(q) / q)
-    return roots[np.mod(m, q)]
+def _terms(m: np.ndarray, s: Any, color: Fraction) -> np.ndarray:
+    """m^-s e(color m) in float64 for m = 1.0, 2.0, ...: m^-Re(s) by pow,
+    times exp(i theta) with theta = 2 pi r/q - Im(s) ln m, r = color q m
+    mod q taken in (-q/2, q/2]."""
+    s = complex(s)
+    x = m ** -s.real
+    if not (s.imag or color):
+        return x
+    theta = -s.imag * np.log(m) if s.imag else 0.0
+    if color:
+        q = color.denominator
+        if q >= 1 << 31:
+            raise ValueError(f"color denominator {q} is too large for direct summation")
+        r = (color.numerator * m.astype(np.int64)) % q
+        theta = theta + 2 * np.pi * (np.where(2 * r > q, r - q, r) / q)
+    return x * np.exp(1j * theta)
+
+
+def _terms_error(s: Any, color: Fraction, n: np.ndarray):
+    """Relative error of _terms(m, s, color) for m <= n in units of 2^-53,
+    with pow, log and exp within 1 ulp: 2 for pow; with a phase, 3 for exp
+    and the product, and |d theta| <= 3 |Im s| ln n, or with a color
+    4 |Im s| ln n + 11 (2 pi r/q and the sum)."""
+    s = complex(s)
+    if not (s.imag or color):
+        return 2.0
+    return (4 if color else 3) * abs(s.imag) * np.log(n) + (16 if color else 5)
 
 
 def mt_via_mzv(
@@ -509,24 +530,25 @@ def mt_via_mzv(
 def _mt_tail(sigmas: Sequence[float], sigma_tot: float, N: int) -> float:
     """Majorant for the part of an MT sum where some index exceeds N.
 
-    Uses (sum m)^sigma_tot >= m_i^(sigma_tot/2) * (sum_others)^(sigma_tot/2)
-    and AM-GM on the remaining factor; crude but sound, and recursive in
-    the depth.
-    """
+    Depth 1: N^(1-s)/(s-1), s = sigma_1 + sigma_tot.  Depth k >= 2, terms
+    with m_i > N: (sum m)^sigma_tot >= m_i^(sigma_tot/2) (sum of the
+    others)^(sigma_tot/2) if sigma_tot >= 0, AM-GM on the second factor,
+    then N^(1-dec)/(dec-1), dec = sigma_i + sigma_tot/2, for the sum over
+    m_i and zeta(x) <= 1 + 1/(x-1), x = sigma_o + sigma_tot/(2(k-1)), for
+    each other.  Crude but sound; ValueError where a step fails
+    (sigma_tot < 0, some dec <= 1 or some x <= 1)."""
     k = len(sigmas)
     if k == 1:
         s = sigmas[0] + sigma_tot
         return N ** (1.0 - s) / (s - 1.0)
+    decs = [s + sigma_tot / 2.0 for s in sigmas]
+    xs = [s + sigma_tot / (2.0 * (k - 1)) for s in sigmas]
+    if sigma_tot < 0 or min(decs) <= 1 or min(xs) <= 1:
+        raise ValueError("no tail bound for direct summation at these exponents (see _mt_tail)")
     total = 0.0
-    for i, si in enumerate(sigmas):
-        others = [s for j, s in enumerate(sigmas) if j != i]
-        dec = si + sigma_tot / 2.0
-        head = N ** (1.0 - dec) / (dec - 1.0)
-        z = 1.0
-        for so in others:
-            x = so + sigma_tot / (2.0 * (k - 1))
-            z *= 1.0 + 1.0 / (x - 1.0)  # zeta(x) <= 1 + 1/(x-1)
-        total += head * z
+    for i, dec in enumerate(decs):
+        z = math.prod(1.0 + 1.0 / (x - 1.0) for j, x in enumerate(xs) if j != i)
+        total += N ** (1.0 - dec) / (dec - 1.0) * z
     return total
 
 
@@ -535,75 +557,65 @@ def mt_direct(
     colors: Sequence[Fraction] | None = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
-    """Direct truncated summation of an MT value of depth <= 3.
+    """Direct truncated summation of an MT value of depth k >= 1 (exponents
+    may be non-integer; absolute convergence is required).
 
-    Exponents may be non-integer (one complex slot is the normal use);
-    absolute convergence is required.  The truncation N is the first power
-    of two whose tail majorant meets the target, capped so that N^depth
-    stays within the term budget.  The tail majorant is weak for small
-    exponents, which is the honest price of the direct route.
+    The sum over the cube m_1, ..., m_k <= N is sum_{n=k}^{kN} g(n) (a_1 *
+    ... * a_k)(n), a_j(m) = e(c_j m) m^-s_j (m <= N), g(n) = e(c n)
+    n^-s_(k+1): k - 1 np.convolve calls and one sum over the totals.  N is
+    the first power of two from 64 whose tail majorant (_mt_tail) meets the
+    target, capped so that the k(k-1)/2 N^2 products of the convolutions
+    stay within _MAX_TERMS (2000 at depth 2, 1154 at depth 3; depth 1
+    convolves nothing and keeps _MAX_TERMS); a cap below 1 raises.
+
+    Roundoff, in units u = 2^-53, with A = |a_1| * ... * |a_k| (a second
+    chain, on moduli): factor j has relative error eta_j(m) <= eta_j(n)
+    (_terms_error) on a term of total n.  Output n of a convolution is a
+    complex dot product of at most min(N, n) products in BLAS order, within
+    sqrt(2) gamma_(2 min(N, n)) of the sum of their moduli; convolving on
+    with |a_j| only carries weight to larger n, so the chain errs by at
+    most (sum_j eta_j(n) + 2 sqrt(2) (k - 1) min(N, n)) u A(n).  The
+    product p(n) with g adds sqrt(2) gamma_2, and np.sum's pairwise sum of
+    the L = kN - k + 1 products (blocks of at most 128 doubles by eight
+    accumulators and a remainder, then halving) at most D = ceil(log2 L) +
+    19 roundings per part.  So the roundoff is u (sum_n |g(n)| A(n) w(n) +
+    D hypot(sum |Re p|, sum |Im p|)), w(n) = sum_j eta_j(n) + 2 sqrt(2)
+    ((k - 1) min(N, n) + 1), times 1 + 2^-20 for second-order terms and
+    the roundoff of the moduli chain and of these sums.
     """
     exps = tuple(exps)
     k = len(exps) - 1
     if k < 1:
-        if colors is None:
-            colors = (Fraction(0),)
-        return lerch_phi(exps[0], Fraction(colors[0]), cfg)
-    if k > 3:
-        raise ValueError("direct summation supports depth <= 3; convert instead")
-    if colors is None:
-        colors = (Fraction(0),) * (k + 1)
-    cols = tuple(Fraction(c) % 1 for c in colors)
+        raise ValueError("direct summation needs a head slot and the total slot")
+    cols = tuple(Fraction(c) % 1 for c in (colors if colors is not None else [0] * (k + 1)))
     check_mt_convergence(exps)
     sigmas = [complex(e).real for e in exps[:-1]]
     sig_tot = complex(exps[-1]).real
+    cap = math.isqrt(2 * _MAX_TERMS // (k * (k - 1))) if k > 1 else _MAX_TERMS
+    if cap < 1:
+        raise ValueError(f"direct summation of depth {k} is beyond the term budget")
 
     N = 64
-    cap = max(64, int(_MAX_TERMS ** (1.0 / k)))
     while _mt_tail(sigmas, sig_tot, N) > cfg.target_tol and N < cap:
         N *= 2
     N = min(N, cap)
 
-    m = np.arange(1, N + 1)
-    axes = []
-    for j in range(k):
-        shape = [1] * k
-        shape[j] = N
-        e = exps[j]
-        base = m.astype(np.float64) ** float(-complex(e).real)
-        if complex(e).imag:
-            base = base * np.exp(-1j * complex(e).imag * np.log(m))
-        axes.append((base * _phase_array(m, cols[j])).reshape(shape))
-
-    chunk = max(1, min(N, int(2e7) // max(N ** (k - 1), 1)))
-    total = 0j
-    abs_total = 0.0
-    e_last = exps[-1]
-    for lo in range(0, N, chunk):
-        hi = min(N, lo + chunk)
-        idx = [slice(None)] * k
-        idx[0] = slice(lo, hi)
-        part = axes[0][tuple(idx)]
-        prod = part
-        for j in range(1, k):
-            prod = prod * axes[j]
-        tot = m[lo:hi].reshape([-1] + [1] * (k - 1))
-        for j in range(1, k):
-            shape = [1] * k
-            shape[j] = N
-            tot = tot + m.reshape(shape)
-        tfac = tot.astype(np.float64) ** float(-complex(e_last).real)
-        if complex(e_last).imag:
-            tfac = tfac * np.exp(-1j * complex(e_last).imag * np.log(tot))
-        if cols[-1] != 0:
-            tfac = tfac * _phase_array(tot.ravel(), cols[-1]).reshape(tot.shape)
-        term = prod * tfac
-        total += complex(np.sum(term))
-        abs_total += float(np.sum(np.abs(term)))
-
-    trunc = _mt_tail(sigmas, sig_tot, N)
-    roundoff = 2.0 ** -52 * (2 * k * math.log2(max(N, 2)) + 8) * abs_total
-    return EvalResult(mpc(total), trunc + roundoff)
+    totals = np.arange(1, k * N + 1, dtype=np.float64)
+    m, n = totals[:N], totals[k - 1 :]
+    chain = mods = None
+    for e, c in zip(exps[:-1], cols):
+        a = _terms(m, e, c)
+        chain = a if chain is None else np.convolve(chain, a)
+        mods = np.abs(a) if mods is None else np.convolve(mods, np.abs(a))
+    g = _terms(n, exps[-1], cols[-1])
+    p = g * chain
+    value = complex(np.sum(p))
+    w = sum(_terms_error(e, c, n) for e, c in zip(exps, cols))
+    w = w + 2 * math.sqrt(2) * ((k - 1) * np.minimum(n, N) + 1)
+    parts = math.hypot(np.sum(np.abs(p.real)), np.sum(np.abs(p.imag)))
+    roundoff = float(np.sum(np.abs(g) * mods * w)) + (math.ceil(math.log2(len(n))) + 19) * parts
+    roundoff = math.ldexp(roundoff, -53) * (1 + 2.0**-20)
+    return EvalResult(mpc(value), _mt_tail(sigmas, sig_tot, N) + roundoff)
 
 
 # ---------------------------------------------------------------------------
@@ -632,13 +644,6 @@ def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
     raise TypeError(f"cannot evaluate atom {a!r}")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def eval_expr(
     e: Expr, z0: Any = None, cfg: EvalConfig = DEFAULT_CONFIG
 ) -> EvalResult:
@@ -653,22 +658,11 @@ def eval_expr(
     distinct = {a for atoms, _ in terms for a in atoms}
 
     results: dict[Atom, EvalResult] = {}
-
-    def _run(a: Atom) -> None:
+    for a in distinct:
         try:
             results[a] = _eval_atom(a, cfg)
         except ValueError as exc:
             raise ValueError(f"cannot evaluate {a}: {exc}") from exc
-
-    nthreads = _threads()
-    if nthreads > 1 and len(distinct) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            list(pool.map(_run, distinct))
-    else:
-        for a in distinct:
-            _run(a)
 
     prec = cfg.precision_bits + _GUARD_BITS
     with _mp_lock, mp.workprec(prec):

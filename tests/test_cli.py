@@ -158,6 +158,23 @@ def test_eval_direct_route(capsys):
     assert data["route"] == "direct"
 
 
+def test_eval_single_slot_route_is_lerch(capsys):
+    # one slot goes to lerch_phi; two slots with a non-integer z stay direct
+    for argv, route in (
+        (["--s", "3"], "lerch"),
+        (["--s", "5", "--alpha", "1/7"], "lerch"),
+        (["--s", "2", "--z", "2.5"], "direct"),
+    ):
+        assert main(["eval", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["route"] == route, argv
+
+
+def test_verify_depth4_noninteger_z(capsys):
+    # depth-4 atoms at a non-integer z take direct summation too
+    assert main(["verify", "--s", "1,1,1,1", "--alpha", "1/2", "--z", "2.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
 def test_determinism_and_exit1():
     rc1, out1, _ = run_cli("reduce", "--s", "1,2,1", "--alpha", "1/3")
     rc2, out2, _ = run_cli("reduce", "--s", "1,2,1", "--alpha", "1/3")

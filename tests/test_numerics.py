@@ -22,7 +22,7 @@ from mtzeta.numerics import (
     mzv_eval,
     zeta_int,
 )
-from mtzeta.symexpr import EvenZeta, Expr, Z, lerch, mt_value, mzv
+from mtzeta.symexpr import EvenZeta, Expr, Z, lerch, mzv
 
 CFG = EvalConfig()
 
@@ -165,6 +165,7 @@ def test_mt_dual_path_colored():
         ((1, 1, 2), (Fraction(1, 3), 0, Fraction(1, 2))),
         ((2, 1, 2), (0, Fraction(1, 3), 0)),
         ((1, 2, 2, 2), (0, 0, Fraction(1, 2), 0)),
+        ((1, 2, 1, 2, 2), (0, Fraction(1, 3), 0, Fraction(1, 2), 0)),
     ]
     for exps, colors in cases:
         via = mt_via_mzv(exps, colors)
@@ -173,11 +174,82 @@ def test_mt_dual_path_colored():
         assert diff <= via.bound + direct.bound, (exps, colors, diff)
 
 
-def test_mt_direct_depth_cap_and_divergence():
-    with pytest.raises(ValueError):
-        mt_direct((1, 1, 1, 1, 1))
+def test_mt_direct_divergence():
     with pytest.raises(ValueError):
         mt_direct((1, 1, 0))
+
+
+def test_mt_direct_refuses_invalid_tail(capsys):
+    # MT(0,3;1.5) converges, but the tail majorant needs sigma_i +
+    # sigma_tot/2 > 1 (here 0.75), and MT(0,0,0;3.5) needs sigma_o +
+    # sigma_tot/(2(k-1)) > 1 (here 0.875): refused, not a negative bound
+    from mtzeta.cli import main
+
+    for exps in ((0, 3, 1.5), (0, 0, 0, 3.5)):
+        with pytest.raises(ValueError, match="tail bound"):
+            mt_direct(exps)
+    for s, z in (("0,3", "1.5"), ("0,0,0", "3.5")):
+        assert main(["eval", "--s", s, "--z", z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tail bound" in captured.err
+
+
+def _mt_cube_mp(exps, cols, N, prec=128):
+    """The MT sum over the cube m_1..m_k <= N by the same convolutions in
+    mpmath: the oracle of mt_direct's roundoff bound."""
+    k = len(exps) - 1
+    with mp.workprec(prec):
+        def terms(s, c, ns):
+            c = Fraction(c)
+            return [mp.expjpi(mp.mpf(2 * c.numerator * n) / c.denominator) * mp.power(n, -mp.mpmathify(s)) for n in ns]
+
+        chain = terms(exps[0], cols[0], range(1, N + 1))
+        for e, c in zip(exps[1:-1], cols[1:-1]):
+            out = [mp.mpc(0)] * (len(chain) + N - 1)
+            for j, y in enumerate(terms(e, c, range(1, N + 1))):
+                for i, x in enumerate(chain):
+                    out[i + j] += x * y
+            chain = out
+        g = terms(exps[-1], cols[-1], range(k, k * N + 1))
+        return mp.fsum(x * y for x, y in zip(g, chain))
+
+
+def test_mt_direct_roundoff_sound():
+    # at target_tol = 1 the tail already meets the target at N = 64, so the
+    # float64 cube sum is compared with the same cube at 128 bits
+    from mtzeta.numerics import _mt_tail
+
+    cfg = EvalConfig(precision_bits=64, target_tol=1.0)
+    cases = [
+        # the phase of n^-it carries an error that grows with |t| ln n
+        ((2, 2 + 20000j), (0, 0)),
+        ((1, 2 + 1j, 2), (0, Fraction(1, 3), 0)),
+        ((2, 3, 2.5 - 0.5j), (Fraction(1, 4), 0, Fraction(2, 5))),
+        ((1, 2, 3, 2 + 1j), (0, 0, 0, Fraction(1, 3))),
+        ((2, 3, 2 + 1j, 1), (0, Fraction(1, 2), Fraction(1, 3), 0)),
+    ]
+    for exps, cols in cases:
+        sig = [complex(e).real for e in exps]
+        tail = _mt_tail(sig[:-1], sig[-1], 64)
+        assert tail <= cfg.target_tol
+        got = mt_direct(exps, cols, cfg)
+        cube = _mt_cube_mp(exps, cols, 64)
+        err = float(abs(mp.mpc(got.value) - cube))
+        assert err <= got.bound - tail, (exps, err, got.bound - tail)
+
+
+def test_mt_direct_memory_is_linear_in_N():
+    # depth 3 at N = 1154: a few arrays of at most 3N values, not N^3
+    import tracemalloc
+
+    cfg = EvalConfig(target_tol=1e-10)
+    tracemalloc.start()
+    try:
+        mt_direct((1, 2, 3, 2 + 1j), (0, 0, 0, Fraction(1, 3)), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_eval_expr_basics():
@@ -210,7 +282,7 @@ def test_eval_expr_unsubstituted_z():
 
 
 def test_dual_path_randomized_corpus():
-    # depth <= 3, weight <= 8, colors in {0, 1/2, 1/3}: conversion route and
+    # depth <= 4, weight <= 8, colors in {0, 1/2, 1/3}: conversion route and
     # direct truncated summation agree within summed bounds
     import random
 
@@ -219,7 +291,7 @@ def test_dual_path_randomized_corpus():
     cfg = EvalConfig(precision_bits=128, target_tol=1e-12)
     done = 0
     while done < 12:
-        depth = rng.choice((2, 3))
+        depth = rng.choice((2, 3, 4))
         exps = tuple(rng.randint(1, 3) for _ in range(depth + 1))
         if sum(exps) > 8:
             continue
@@ -236,12 +308,36 @@ def test_dual_path_randomized_corpus():
 
 
 def test_concurrent_readers():
-    # Bernoulli cache insertion and atom evaluation under concurrent use
+    # Bernoulli cache insertion and atom evaluation under concurrent use;
+    # character values at 64 bits (_e_of) interleave with kernels that set
+    # mpmath's precision to 272 bits, so both must hold _mp_lock
     import threading
 
+    import mtzeta.numerics as num
     from mtzeta import exact
+    from mtzeta.dirichlet import enumerate_characters
 
+    chi = enumerate_characters(7)[1]
+    hi = EvalConfig(precision_bits=256)
+
+    def low():
+        return [chi.value(n, 64) for n in range(1, 15)]
+
+    def high():
+        return [lerch_phi(2.5 + 1j, Fraction(1, 3), hi), even_zeta(6, hi), hurwitz_zeta(3.5, Fraction(1, 4), hi)]
+
+    def split():
+        # the unlocked fixed-point route: depth >= 3 words sharing suffixes
+        # and a colored word, plus a direct MT atom at complex z
+        mid = EvalConfig(precision_bits=128, target_tol=1e-12)
+        words = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (4, 2, 1), (3, 2, 1, 1)]
+        out = [mzv_eval(w, cfg=mid) for w in words] + [mzv_eval((2, 1), (Fraction(1, 2), 0), mid)]
+        return out + [mt_direct((1, 2 + 1j, 2), (0, Fraction(1, 3), 0), mid)]
+
+    jobs = [(low, 100), (high, 2), (split, 2)]
+    want = [job() for job, _ in jobs]
     exact._bernoulli_cache[:] = exact._bernoulli_cache[:2]
+    num._li_half.cache_clear()
     errors = []
 
     def worker(seed):
@@ -250,47 +346,25 @@ def test_concurrent_readers():
                 exact.bernoulli((seed * 7 + n) % 40)
             e = Expr.term(1, (EvenZeta(2), lerch(5, 0)))
             eval_expr(e, cfg=EvalConfig(precision_bits=96))
+            job, reps = jobs[seed % 3]
+            for _ in range(reps):
+                assert job() == want[seed % 3]
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert exact.bernoulli(12) == Fraction(-691, 2730)
-
-
-def test_threads_env_matches_sequential(monkeypatch):
-    # trivial-color MZVs of depth >= 3 sharing exponent suffixes (the
-    # unlocked fixed-point route), a colored MZV and a direct MT atom at
-    # complex z, evaluated by more threads than cores
-    import mtzeta.numerics as num
-
-    e = Expr.term(2, (EvenZeta(4), lerch(3, Fraction(1, 3)))) + Expr.term(
-        -1, (mzv((3, 2), (0, 0)),)
-    )
-    for k, exps in enumerate([(2, 1, 1), (3, 1, 1), (2, 2, 1), (4, 2, 1), (3, 2, 1, 1)]):
-        e = e + Expr.term(k + 1, (mzv(exps, (0,) * len(exps)),))
-    e = e + Expr.term(3, (mzv((2, 1), (Fraction(1, 2), 0)),))
-    e = e + Expr.term(-2, (mt_value((1, Z, 2), (0, Fraction(1, 3), 0)),))
-    cfg = EvalConfig(precision_bits=128, target_tol=1e-12)
-    num._eval_atom.cache_clear()
-    num._li_half.cache_clear()
-    seq = eval_expr(e, 2 + 1j, cfg)
-    monkeypatch.setenv("THREADS", "4")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(3):
-            num._eval_atom.cache_clear()
-            num._li_half.cache_clear()
-            par = eval_expr(e, 2 + 1j, cfg)
-            assert par.value == seq.value
-            assert par.bound == seq.bound
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
     finally:
         sys.setswitchinterval(interval)
+    assert not errors
+    assert exact.bernoulli(12) == Fraction(-691, 2730)
 
 
 def test_atom_cache_hits_on_repeat():
@@ -420,11 +494,19 @@ def _log_tail_integral(sigma: float, p: int, N: int) -> float:
     return out
 
 
+def _phase_array(m: np.ndarray, color: Fraction) -> np.ndarray:
+    if color == 0:
+        return np.ones(len(m))
+    q = color.denominator
+    roots = np.exp(2j * np.pi * (color.numerator % q) * np.arange(q) / q)
+    return roots[np.mod(m, q)]
+
+
 def _mzv_colored_dp(exps, colors, cfg=CFG):
     """The float64 prefix-sum route colored MZVs took before the split at 1/p
     covered every color, kept as the oracle: (value, bound) with the target
     floored at 1e-13 and an integral tail majorant."""
-    from mtzeta.numerics import _MAX_TERMS, _phase_array
+    from mtzeta.numerics import _MAX_TERMS
 
     k = len(exps)
     s1 = exps[0]
