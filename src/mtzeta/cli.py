@@ -385,8 +385,9 @@ def _cmd_eval(args) -> int:
         else:
             exps = s
         colors = (Fraction(0),) * (len(exps) - 1) + (alpha,)
-        if len(exps) == 1:
-            result = lerch_phi(exps[0], alpha, cfg)
+        if len(exps) == 1 or (len(exps) == 2 and not isinstance(exps[1], int)):
+            # one head slot and a non-integer z: MT(s_1, z) = phi(s_1 + z)
+            result = lerch_phi(sum(exps), alpha, cfg)
             route = "lerch"
         elif all(isinstance(e, int) for e in exps):
             result = mt_via_mzv(exps, colors, cfg)

@@ -159,14 +159,18 @@ def test_eval_direct_route(capsys):
 
 
 def test_eval_single_slot_route_is_lerch(capsys):
-    # one slot goes to lerch_phi; two slots with a non-integer z stay direct
+    # one slot, or one head slot and a non-integer z (MT(s_1, z) =
+    # phi(s_1 + z)), goes to lerch_phi; two head slots stay direct
     for argv, route in (
         (["--s", "3"], "lerch"),
         (["--s", "5", "--alpha", "1/7"], "lerch"),
-        (["--s", "2", "--z", "2.5"], "direct"),
+        (["--s", "2", "--z", "2.5"], "lerch"),
+        (["--s", "1,1", "--z", "2.5"], "direct"),
     ):
         assert main(["eval", *argv]) == 0
         assert json.loads(capsys.readouterr().out)["route"] == route, argv
+    assert main(["eval", "--s", "2", "--z", "2.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["bound"] <= 1e-32
 
 
 def test_verify_depth4_noninteger_z(capsys):

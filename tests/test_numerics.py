@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
 from mtzeta.numerics import (
     EvalConfig,
@@ -713,3 +713,82 @@ def test_mt_3x6_certifies_35_digits_at_128_bits():
     # 273 MZVs whose split factors reach depth 14: the tail majorant must
     # grow like (ln M)^(d-1), not like M^(d-1)
     assert mt_via_mzv((3,) * 6, cfg=EvalConfig(precision_bits=128)).bound <= 1e-35
+
+
+def _mp_parts(v):
+    """Raw (re, im) mpf tuples of a kernel value, read without rounding:
+    mpc(), .imag and unary minus would round to mpmath's global precision."""
+    return v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, libmp.fzero)
+
+
+@st.composite
+def _conjugate_words(draw):
+    # depth <= 3, weight <= 7, leading exponent >= 2, one denominator 2..12
+    # for all colors, at least one color not its own negative
+    depth = draw(st.integers(min_value=1, max_value=3))
+    exps = (draw(st.integers(min_value=2, max_value=5)),)
+    exps += tuple(draw(st.integers(min_value=1, max_value=3)) for _ in range(depth - 1))
+    assume(sum(exps) <= 7)
+    den = draw(st.integers(min_value=2, max_value=12))
+    colors = tuple(Fraction(draw(st.integers(min_value=0, max_value=den - 1)), den) for _ in exps)
+    assume(any(c.denominator > 2 for c in colors))
+    return exps, colors
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_conjugate_words(), st.integers(min_value=64, max_value=300))
+def test_conjugate_atoms_are_exact_conjugates(word, bits):
+    # zeta(s; -c) = conj zeta(s; c): of the pair only one is evaluated, and
+    # the other is its exact conjugate with the same bound, within both
+    # bounds of the split run on its own colors
+    from mtzeta.numerics import _eval_atom, _mzv_split
+
+    exps, colors = word
+    assert len(exps) <= 3 and sum(exps) <= 7 and exps[0] >= 2
+    cfg = EvalConfig(precision_bits=bits)
+    neg = tuple(-c % 1 for c in colors)
+    got, twin = _eval_atom(mzv(exps, colors), cfg), _eval_atom(mzv(exps, neg), cfg)
+    assert got.bound == twin.bound, word
+    (gr, gi), (tr, ti) = _mp_parts(got.value), _mp_parts(twin.value)
+    assert gr == tr and gi == libmp.mpf_neg(ti), word
+    for cols, r in ((colors, got), (neg, twin)):
+        ref = _mzv_split(exps, cols, cfg)
+        with mp.workprec(4 * bits + 64):
+            assert float(abs(mp.mpc(r.value) - mp.mpc(ref.value))) <= r.bound + ref.bound, (word, cols)
+
+
+def test_conjugate_pair_costs_one_split(monkeypatch):
+    import mtzeta.numerics as num
+
+    calls = []
+    split = num._mzv_split
+
+    def counting(exps, cols, cfg):
+        calls.append((exps, cols))
+        return split(exps, cols, cfg)
+
+    monkeypatch.setattr(num, "_mzv_split", counting)
+    num._eval_atom.cache_clear()
+    a, b = mzv((2, 1), (Fraction(1, 3), 0)), mzv((2, 1), (Fraction(2, 3), 0))
+    got = eval_expr(Expr.atom(a) + Expr.atom(b), cfg=EvalConfig(precision_bits=128))
+    assert calls == [((2, 1), (Fraction(1, 3), Fraction(0)))]
+    # the imaginary parts cancel exactly, so the sum comes back real
+    assert not hasattr(got.value, "_mpc_")
+    ref = split((2, 1), (Fraction(1, 3), 0), EvalConfig(precision_bits=192))
+    with mp.workprec(256):
+        assert_close(got, 2 * mp.re(mp.mpc(ref.value)), 2 * ref.bound)
+
+
+def test_hurwitz_complex_exponent_against_mpmath():
+    # a complex exponent against mp.zeta at twice the precision; the Lerch
+    # value through the q-term sum phi(s, p/q) = q^-s sum_r e(r p/q) zeta(s, r/q)
+    for bits in (128, 300):
+        cfg = EvalConfig(precision_bits=bits)
+        hz = hurwitz_zeta(2 + 1j, Fraction(1, 3), cfg)
+        phi = lerch_phi(3.5 + 2j, Fraction(2, 5), cfg)
+        assert max(hz.bound, phi.bound) <= 1e-30
+        with mp.workprec(2 * bits):
+            assert_close(hz, mp.zeta(mp.mpc(2, 1), mp.mpf(1) / 3))
+            s = mp.mpc(3.5, 2)
+            terms = (mp.expjpi(mp.mpf(4 * r) / 5) * mp.zeta(s, mp.mpf(r) / 5) for r in range(1, 6))
+            assert_close(phi, mp.fsum(terms) * mp.mpf(5) ** -s)
