@@ -13,6 +13,7 @@ Schema version: "mtzeta/1".
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -328,6 +329,8 @@ def _cmd_verify(args) -> int:
         total = mpc(0)
         bound = 0.0
         for w, ident in fam:
+            if w.value == 0 and w.bound == 0:  # non-coprime n: adds exactly 0
+                continue
             r = ident.residual(z0, cfg)
             total += mpc(w.value) * mpc(r.value)
             wm, rm = float(abs(mpc(w.value))), float(abs(mpc(r.value)))
@@ -409,7 +412,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser of every verb, built once per process: parse_args leaves
+    it unchanged, and each call gets a fresh namespace."""
     p = _Parser(prog="mtzeta", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -32,13 +32,15 @@ non-integer z is phi(s_1 + z), which takes lerch_phi, not mt_direct.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count, islice
+from operator import floordiv, rshift
 from typing import Any, Sequence
 
 import numpy as np
@@ -290,10 +292,24 @@ def _word_to_exponents(word: tuple) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip([-1, *at], at))
 
 
+class _Letter(tuple):
+    """A letter (x, g, dual) of a split word that hashes its Fractions once:
+    the kernel's memo keys hash whole words on every lookup.  It equals the
+    plain tuple and hashes like it."""
+
+    def __new__(cls, x, g, dual):
+        self = super().__new__(cls, (x, g, dual))
+        self.hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self.hash
+
+
 def _modulus(y) -> Fraction | int:
     """Rational lower bound for |y|: x min(1, |1 - e(g)|) for y = x (1 - e(g))."""
-    if not isinstance(y, tuple):
-        return 2 if y == 1 else abs(y)
+    if not isinstance(y, tuple):  # the letter 1, y = 2
+        return 2
     x, g, dual = y
     g = min(g, 1 - g)
     if not dual or g >= Fraction(1, 6):
@@ -301,13 +317,16 @@ def _modulus(y) -> Fraction | int:
     return x * Fraction(math.floor(2 * math.sin(math.pi * g) * (1 - 2.0**-40) * 2**16), 2**16)
 
 
+# 1,024 entries: one colored-characters case list fills 23
+@functools.lru_cache(maxsize=1 << 10)
 def _recip(y, F: int) -> tuple[int, int | None]:
     """1/y as ints (re, im) scaled by 2^F (im None if y is real), each one floor
     of a rational or of a libmp value good to 2^-(F+12): within 2 ulps."""
-    if not isinstance(y, tuple):
-        y = Fraction(2 if y == 1 else y)
-        return (y.denominator << F) // y.numerator, None
+    if not isinstance(y, tuple):  # the letter 1, y = 2
+        return 1 << (F - 1), None
     x, g, dual = y
+    if not g:
+        return (x.denominator << F) // x.numerator, None
     wp = F + 16
     c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(g.numerator << (not dual), g.denominator, wp), wp)
     w = libmp.from_rational(x.denominator, x.numerator, wp)
@@ -326,9 +345,13 @@ def _telescope(tr: list[int], ti: list[int] | None, err: float, y, F: int):
     rho = float(1 / _modulus(y)) + 2.0 ** (2 - F)
     mag = (max(map(abs, tr)) + max(map(abs, ti or [0]))) / (1 << F) + math.ldexp(err, -F)
     err = (rho * err + 2 * mag / (1 - rho) + 2) / (1 - rho)
-    if ti is None and ui is None:
-        return list(accumulate(tr, lambda q, t: (q + t) * ur >> F, initial=0)), None, False, err
-    ui, qr, qi = ui or 0, 0, 0
+    if not ui:  # a real u keeps the two parts apart
+        step = lambda q, t: (q + t) * ur >> F
+        outr = list(accumulate(tr, step, initial=0))
+        if ti is None and ui is None:
+            return outr, None, False, err
+        return outr, list(accumulate(ti, step, initial=0)) if ti else [0] * len(outr), False, err
+    qr, qi = 0, 0
     outr, outi = [0], [0]
     for x, z in zip(tr, ti or [0] * len(tr)):
         x, z = x + qr, z + qi
@@ -338,9 +361,44 @@ def _telescope(tr: list[int], ti: list[int] | None, err: float, y, F: int):
     return outr, outi, False, err
 
 
-# Level states of the _li_half calls in one _mzv_split call, by (word suffix
-# from a letter, M); it lives for that call, so _li_half keys on (word, prec).
+# Level states shared by the _li_half calls of one evaluation, keyed by (word
+# suffix from a letter, M, F), at most _LEVEL_STATES of them, the least
+# recently used dropped first.  The outermost eval_expr opens the table and
+# drops it when it returns (_level_scope); an _mzv_split outside any opens
+# its own.  With 64 states one colored-characters case list at 128 bits
+# telescopes 1,054 levels, against 1,035 with no limit.
+_LEVEL_STATES = 64
 _split_levels: ContextVar[dict | None] = ContextVar("_split_levels", default=None)
+
+
+@contextlib.contextmanager
+def _level_scope():
+    """Open a level table for the evaluation inside, unless one is open."""
+    if _split_levels.get() is not None:
+        yield
+        return
+    token = _split_levels.set({})
+    try:
+        yield
+    finally:
+        _split_levels.reset(token)
+
+
+def _keep(levels: dict, key: tuple, st: tuple) -> None:
+    """Store st as the most recent state of levels, dropping the least
+    recent one when the table is full."""
+    levels.pop(key, None)
+    if len(levels) >= _LEVEL_STATES:
+        del levels[next(iter(levels))]
+    levels[key] = st
+
+
+# 64 entries of M ints of e log2 M bits: one colored-characters case list
+# fills 31, one paper-decimals list 11
+@functools.lru_cache(maxsize=64)
+def _powers(e: int, M: int) -> tuple[int, ...]:
+    """(1^e, 2^e, ..., M^e): the divisors of a level's terms."""
+    return tuple(n**e for n in range(1, M + 1))
 
 
 def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int, levels: dict):
@@ -351,28 +409,34 @@ def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int, levels: di
     its error is at most err * n ulps at n; otherwise err is uniform."""
     one = 1 << F
     at = [end - 1 for end in accumulate(exps)]  # where each letter sits
-    k = next((k for k, i in enumerate(at) if (word[i:], M) in levels), len(at) - 1)
-    st = levels.get((word[at[k] :], M))
-    if st is None:  # P(n) = y^-n for the last letter y
-        y = word[-1]
+    k = next((k for k, i in enumerate(at) if (word[i:], M, F) in levels), None)
+    if k is None:  # P(n) = y^-n for the last letter y
+        k, y = len(at) - 1, word[-1]
         st = ([one] * (M + 1), None, True, 0) if y == 1 else _telescope([one, *[0] * (M - 1)], None, 0, y, F)
+    else:
+        st = levels[(word[at[k] :], M, F)]
+    _keep(levels, (word[at[k] :], M, F), st)
     for j in range(k - 1, -1, -1):
         re, im, deferred, err = st
         e, y = exps[j + 1], word[at[j]]
+        pw = _powers(e, M)  # n^e at pw[n - 1]
         if deferred and y == 1:
             # new[m] = sum over n < m of re[n] // n^e: m - 1 floors, and
             # errors err * n / n^e <= err, so (err + 1) m ulps in all
-            re = [0, 0, *accumulate(re[n] // n**e for n in range(1, M))]
+            re = [0, 0, *accumulate(map(floordiv, islice(re, 1, M), pw))]
             st = (re, None, True, err + 1)
         else:
             if deferred:  # err * n / 2^n <= err / 2, and one floor
-                re, err = [a >> n for n, a in enumerate(re)], err / 2 + 1
-            tr, ti = ([0, *(x[n] // n**e for n in range(1, M))] if x else None for x in (re, im))
+                re, err = list(map(rshift, re, range(M + 1))), err / 2 + 1
+            tr, ti = ([0, *map(floordiv, islice(x, 1, M), pw)] if x else None for x in (re, im))
             st = _telescope(tr, ti, err + 2, y, F)
-        levels[(word[at[j] :], M)] = st
+        _keep(levels, (word[at[j] :], M, F), st)
     return st
 
 
+# 4,096 entries: one colored-characters case list fills 2,187, one for each
+# miss of _li_half
+@functools.lru_cache(maxsize=1 << 12)
 def _li_terms(word: tuple, prec: int) -> tuple[int, Fraction | int]:
     """(M, R) of _li_half(word, prec): R the smallest letter modulus, M the
     terms per level.  Raises ValueError when M times the depth passes
@@ -380,20 +444,23 @@ def _li_terms(word: tuple, prec: int) -> tuple[int, Fraction | int]:
     d = len(word) - word.count(0)
     R = min(map(_modulus, set(word) - {0}))
     # the floor, 4d + 16 rounded up to a power of two, keeps rho < 1; a
-    # power of two, so that the deep cuts of one split share their levels
+    # power of two, so that the deep cuts of one evaluation share levels
     M = max(math.ceil((prec + 24) / math.log2(R)), 1 << (4 * d + 15).bit_length())
     if M * d > _MAX_TERMS:
         raise ValueError(f"a letter of modulus {float(R):.8g} needs {M} terms per level")
     return M, R
 
 
-# 16,384 entries: one colored-characters case list at 128 bits fills 2,429
+# 16,384 entries: one colored-characters case list at 128 bits fills 2,188
 @functools.lru_cache(maxsize=1 << 14)
 def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
     """L = sum_{n_1 > ... > n_d >= 1} prod_j y_j^-(n_j - n_(j+1)) / n_j^e_j,
     n_(d+1) = 0, for a word over 0 and letters y_j, |y_j| > 1, ending in a
-    letter: 1 for y = 2 (a {0,1} word gives Li at 1/2), a Fraction for
-    another real y, (x, g, dual) for y = x e(g), or x (1 - e(g)) if dual.
+    letter: 1 for y = 2 (a {0,1} word gives Li at 1/2), (x, g, dual) for
+    y = x e(g), or x (1 - e(g)) if dual, g = 0 for another real y = x.
+    The levels come from the table of the evaluation it runs in (or a
+    fresh one outside any: _split_levels), which holds only values fixed
+    by the word, M and F, so the memo keys on (word, prec) alone.
     Returns (V, bound), V an int (ints (re, im) if a letter is not real),
     |L - V 2^-F| <= bound, F = prec + _LI_GUARD_BITS.  The sum stops at
     n_1 = M >= (prec + 24) / log2 R (_li_terms), R the smallest |y_j|; the
@@ -420,11 +487,15 @@ def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
         lg = -m * math.log2(R) - e0 * math.log2(m) + (d - 1) * math.log2(1 + math.log(m))
         lg -= math.lgamma(d) / math.log(2) + math.log2(1 - rho)
         trunc = math.ldexp(1.0, max(math.ceil(lg + 1e-9 * (1 + abs(lg))), -1074))
+    pw = _powers(e0, M)  # m^e0 at pw[m - 1]
     if deferred:
-        return (sum(re[m] // (m**e0 << m) for m in range(1, M + 1)), trunc + math.ldexp(M + err, -F))
-    total = sum(re[m] // m**e0 for m in range(1, M + 1))
+        # the terms re[m] // (m^e0 2^m), each as (re[m] >> m) // m^e0: floor
+        # (floor(a / b) / c) = floor(a / (b c)) for ints b, c > 0
+        total = sum(map(floordiv, map(rshift, islice(re, 1, None), count(1)), pw))
+        return (total, trunc + math.ldexp(M + err, -F))
+    total = sum(map(floordiv, islice(re, 1, None), pw))
     if im is not None:
-        total = (total, sum(im[m] // m**e0 for m in range(1, M + 1)))
+        total = (total, sum(map(floordiv, islice(im, 1, None), pw)))
     return (total, trunc + math.ldexp(2 * M + (int(math.log(M)) + 2 if e0 == 1 else 2) * err, -F))
 
 
@@ -469,20 +540,22 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
     for s, h in zip(exps, cols):
         G = (G - h) % 1 if h else G
         word += [None] * (s - 1) + [G]
-    r = min((_modulus((1, c, True)) for c in set(word) - {None, 0}), default=1)
+    colors = set(word) - {None, 0}
+    r = min((_modulus((1, c, True)) for c in colors), default=1)
     if r == 0:
         raise ValueError("a color this close to 0 is beyond the term budget")
     p, q = (2, 2) if r == 1 else (1 + r, 1 + 1 / r)  # every letter has modulus >= 1 + r
-    lq, lp = (1 if q == 2 else q), (1 if p == 2 else p)
-    lw = tuple(lq if c is None else 0 if c == 0 else (q, c, True) for c in word)
-    rw = tuple(0 if c is None else lp if c == 0 else (p, c, False) for c in word)
+    lq, lp = (1 if x == 2 else _Letter(x, 0, False) for x in (q, p))
+    ql = {c: _Letter(q, c, True) for c in colors}
+    pl = {c: _Letter(p, c, False) for c in colors}
+    lw = tuple(lq if c is None else 0 if c == 0 else ql[c] for c in word)
+    rw = tuple(0 if c is None else lp if c == 0 else pl[c] for c in word)
     # every cut's factor is a suffix of lw reversed or of rw, so it has no
     # more letters and no smaller modulus: these two bound all the work
     for w in (lw[::-1], rw):
         _li_terms(w, prec)
     re, im, bound = 0, 0, 0.0
-    token = _split_levels.set({})
-    try:
+    with _level_scope():
         for cut in range(len(word) + 1):
             left, right = lw[:cut][::-1], rw[cut:]
             (lv, lb), (rv, rb) = _li_half(left, prec), _li_half(right, prec)
@@ -493,8 +566,6 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
             im += sign * (lr * ri + li * rr)
             lm, rm = math.hypot(lr / one, li / one), math.hypot(rr / one, ri / one)
             bound += lm * rb + rm * lb + lb * rb
-    finally:
-        _split_levels.reset(token)
     value = mp.make_mpf(libmp.from_man_exp(re, -2 * F, prec, "n"))
     if im:
         value = mp.make_mpc((value._mpf_, libmp.from_man_exp(im, -2 * F, prec, "n")))
@@ -583,7 +654,8 @@ def mt_direct(
     the first power of two from 64 whose tail majorant (_mt_tail) meets the
     target, capped so that the k(k-1)/2 N^2 products of the convolutions
     stay within _MAX_TERMS (2000 at depth 2, 1154 at depth 3; depth 1
-    convolves nothing and keeps _MAX_TERMS); a cap below 1 raises.
+    convolves nothing and takes the cap of depth 2); a cap below 1 raises.
+    The bound keeps the tail at the capped N, so it may miss the target.
 
     Roundoff, in units u = 2^-53, with A = |a_1| * ... * |a_k| (a second
     chain, on moduli): factor j has relative error eta_j(m) <= eta_j(n)
@@ -608,7 +680,7 @@ def mt_direct(
     check_mt_convergence(exps)
     sigmas = [complex(e).real for e in exps[:-1]]
     sig_tot = complex(exps[-1]).real
-    cap = math.isqrt(2 * _MAX_TERMS // (k * (k - 1))) if k > 1 else _MAX_TERMS
+    cap = math.isqrt(2 * _MAX_TERMS // max(k * (k - 1), 2))
     if cap < 1:
         raise ValueError(f"direct summation of depth {k} is beyond the term budget")
 
@@ -657,7 +729,7 @@ def _conjugate_twin(a: Atom) -> Atom | None:
     return (mzv if isinstance(a, MZValue) else mt_value)(exps, neg)
 
 
-# 4,096 entries: one colored-characters case list fills 788
+# 4,096 entries: one colored-characters case list fills 715
 @functools.lru_cache(maxsize=1 << 12)
 def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
     if isinstance(a, EvenZeta):
@@ -694,7 +766,8 @@ def eval_expr(
     """Evaluate an expression: substitute z (if present), evaluate each
     distinct atom once, and combine with first-order error propagation.
 
-    Per-atom failures are re-raised with the offending atom named.
+    Per-atom failures are re-raised with the offending atom named.  The
+    outermost call opens the level table its splits share (_level_scope).
     """
     if z0 is not None:
         e = e.substitute(z0)
@@ -702,11 +775,12 @@ def eval_expr(
     distinct = {a for atoms, _ in terms for a in atoms}
 
     results: dict[Atom, EvalResult] = {}
-    for a in distinct:
-        try:
-            results[a] = _eval_atom(a, cfg)
-        except ValueError as exc:
-            raise ValueError(f"cannot evaluate {a}: {exc}") from exc
+    with _level_scope():
+        for a in distinct:
+            try:
+                results[a] = _eval_atom(a, cfg)
+            except ValueError as exc:
+                raise ValueError(f"cannot evaluate {a}: {exc}") from exc
 
     prec = cfg.precision_bits + _GUARD_BITS
     with _mp_lock, mp.workprec(prec):

@@ -258,3 +258,40 @@ def test_text_format_paths(capsys):
     assert main(["partitions", "--s", "1,2,3", "--kind", "pre-fat", "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("2 partitions")
+
+
+def test_verify_character_skips_zero_weights(monkeypatch, capsys):
+    # mod 4 pairs n = 2 and n = 4 with weight exactly 0: only the two
+    # coprime colors are evaluated
+    from mtzeta.reduction import Identity
+
+    alphas = []
+    residual = Identity.residual
+
+    def counting(self, z0, cfg):
+        alphas.append(self.alpha)
+        return residual(self, z0, cfg)
+
+    monkeypatch.setattr(Identity, "residual", counting)
+    assert main(["verify", "--s", "2,2", "--chi", "4,1", "--z", "2", "--precision-bits", "128"]) == 0
+    assert sorted(alphas) == [Fraction(1, 4), Fraction(3, 4)]
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    # the cached parser gives each call a fresh namespace: flags and
+    # defaults of one verb do not leak into the next call
+    from mtzeta.cli import build_parser
+
+    assert build_parser() is build_parser()
+    eval_argv = ["eval", "--s", "2,3", "--z", "2"]
+    assert main(eval_argv) == 0
+    first = capsys.readouterr().out
+    verify_argv = ["verify", "--s", "2,2", "--alpha", "1/3", "--z", "2", "--tol", "1e-6", "--precision-bits", "96", "--format", "text"]
+    assert main(verify_argv) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert main(eval_argv) == 0
+    assert capsys.readouterr().out == first
+    args = build_parser().parse_args(eval_argv)
+    assert (args.alpha, args.tol, args.precision_bits, args.format) == (None, None, None, "json")
+    assert not hasattr(build_parser().parse_args(["partitions", "--s", "1,2"]), "z")

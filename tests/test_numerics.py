@@ -252,6 +252,24 @@ def test_mt_direct_memory_is_linear_in_N():
     assert peak < 8 << 20
 
 
+def test_mt_direct_depth1_is_capped():
+    # depth 1 convolves nothing but takes the depth-2 cap, N = 2000, not 4M
+    # terms; the bound keeps the tail at that N and stays sound
+    import tracemalloc
+
+    cfg = EvalConfig(target_tol=1e-30)
+    tracemalloc.start()
+    try:
+        got = mt_direct((2, 2.5), (0, 0), cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert got.bound < 1e-11
+    with mp.workprec(128):
+        assert_close(got, mp.zeta(4.5))
+
+
 def test_eval_expr_basics():
     e = Expr.term(1, (EvenZeta(0), EvenZeta(2)))
     r = eval_expr(e)
@@ -792,3 +810,101 @@ def test_hurwitz_complex_exponent_against_mpmath():
             s = mp.mpc(3.5, 2)
             terms = (mp.expjpi(mp.mpf(4 * r) / 5) * mp.zeta(s, mp.mpf(r) / 5) for r in range(1, 6))
             assert_close(phi, mp.fsum(terms) * mp.mpf(5) ** -s)
+
+
+# sha256 of the (value, bound) pairs of a fixed grid, recorded before the
+# level table, the power tables and the letter memos went into the split
+# kernel: values are compared as raw mpf tuples, so every bit counts
+_KERNEL_DIGESTS = {
+    "mzv 64": "929a2e6745303d5eea4ff88d8528c9eb66be02e1f1b6e26f3f784dc2bd6974e4",
+    "lerch 64": "5d4f39006f4a45b62d0be27c92ab47b4abcde2093f6f73ee97085a73ccfe2b63",
+    "mzv 128": "4107b43f7d39748b4ef407fe2e8f2c34045c4fa787e3be8e596891d3fee27c63",
+    "lerch 128": "fcbdaa6900a8081ac438fb695c5129019b307da5a5ad6189ce5d3e9344dc7a53",
+    "mzv 192": "101d9de52e1cf5df0848a63508b56a6f67e8b4833da29cf01bca06b220292355",
+    "lerch 192": "4c724a96424aabd52b6bdd45437b471dd00115f06ec0436243d354c51f36e49f",
+    "expr 128": "cc74e39e6e63c366b97f176e4e0f3e5345c0b45089f1c660821a2fcdf36c4cdf",
+}
+
+
+def _raw(r: EvalResult) -> tuple:
+    """(value, bound) with the value as its raw mpf tuples, mantissas as int."""
+    return tuple((s, int(m), e, b) for s, m, e, b in _mp_parts(r.value)), r.bound
+
+
+def test_kernel_values_bit_identical():
+    import hashlib
+
+    from mtzeta.symexpr import mt_value
+
+    def digest(results):
+        return hashlib.sha256(repr([_raw(r) for r in results]).encode()).hexdigest()
+
+    colors = [Fraction(c) for c in ("0", "1/2", "1/3", "1/4", "1/7", "3/8")]
+    words = [(3,), (2, 1), (3, 1, 2), (2, 2, 1, 1)]
+    got = {}
+    for bits in (64, 128, 192):
+        cfg = EvalConfig(precision_bits=bits)
+        mz, le = [], []
+        for c in colors:
+            for w in words:
+                for cols in (tuple(c * (j + 1) for j in range(len(w))), (0,) * (len(w) - 1) + (c,)):
+                    mz.append(mzv_eval(w, cols, cfg))
+            le += [lerch_phi(s, c, cfg) for s in (2, 5)]
+        got[f"mzv {bits}"], got[f"lerch {bits}"] = digest(mz), digest(le)
+    third = Fraction(1, 3)
+    e = (
+        Expr.atom(mzv((2, 1), (third, 0))) * Expr.atom(lerch(3, Fraction(1, 4)))
+        + Expr.atom(mt_value((2, 1, 2), (0, 0, third))).scale(Fraction(3, 7))
+        - Expr.atom(mzv((2, 1), (2 * third, 0)))
+        + Expr.atom(mzv((3, 1, 1), (0, 0, 0)))
+    )
+    got["expr 128"] = digest([eval_expr(e, cfg=EvalConfig(precision_bits=128))])
+    assert got == _KERNEL_DIGESTS
+
+
+def test_level_table_lives_for_one_evaluation(monkeypatch):
+    # the outermost eval_expr opens one table, the nested eval_expr of
+    # mt_via_mzv reuses it, and it is gone once the call returns or raises
+    import mtzeta.numerics as num
+    from mtzeta.symexpr import mt_value
+
+    seen = []
+    eval_atom = num._eval_atom
+
+    def recording(a, cfg):
+        seen.append(num._split_levels.get())
+        return eval_atom(a, cfg)
+
+    num._eval_atom.cache_clear()
+    monkeypatch.setattr(num, "_eval_atom", recording)
+    e = Expr.atom(mt_value((2, 1, 2), (0, 0, Fraction(1, 3)))) + Expr.atom(mzv((3, 1), (Fraction(1, 4), 0)))
+    assert num._split_levels.get() is None
+    eval_expr(e, cfg=EvalConfig(precision_bits=96))
+    assert len(seen) > 2 and isinstance(seen[0], dict) and all(t is seen[0] for t in seen)
+    assert 0 < len(seen[0]) <= num._LEVEL_STATES
+    assert num._split_levels.get() is None
+
+    def failing(a, cfg):
+        seen.append(num._split_levels.get())
+        raise ValueError("refused")
+
+    monkeypatch.setattr(num, "_eval_atom", failing)
+    with pytest.raises(ValueError, match="refused"):
+        eval_expr(e)
+    assert isinstance(seen[-1], dict) and seen[-1] is not seen[0]
+    assert num._split_levels.get() is None
+
+
+def test_level_table_keys_on_precision():
+    # at 64 and 80 bits a depth-13 word takes M = 128 terms per level (the
+    # depth floor) but a different scale 2^F: inside one table each
+    # precision must find only its own levels
+    import mtzeta.numerics as num
+
+    words = [((2,) + (1,) * 12, (0,) * 13), ((2, 1, 1), (Fraction(1, 3), 0, Fraction(1, 4)))]
+    cfgs = [EvalConfig(precision_bits=b) for b in (64, 80)]
+    fresh = [[_raw(num._mzv_split(*w, cfg)) for w in words] for cfg in cfgs]
+    assert [num._li_terms((1,) * 13, cfg.precision_bits + num._GUARD_BITS)[0] for cfg in cfgs] == [128, 128]
+    num._li_half.cache_clear()
+    with num._level_scope():
+        assert [[_raw(num._mzv_split(*w, cfg)) for w in words] for cfg in cfgs] == fresh
