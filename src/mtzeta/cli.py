@@ -21,18 +21,20 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from mpmath import mp, mpc
+from mpmath import libmp
 
 from . import __version__
 from .bernprod import carlitz_product, expand_by_partitions, expand_by_subsets, naive_product
 from .dirichlet import character_identities, enumerate_characters, gauss_sum, mt_l_value
 from .mzvconvert import mt_to_mzv
-from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, EvalConfig, lerch_phi, mt_direct, mt_via_mzv
+from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, _RND, EvalConfig, _mag, _parts, lerch_phi, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
 from .symexpr import _frac_str, atom_from_json, atom_to_json, expr_from_json, expr_to_json
 
 SCHEMA = "mtzeta/1"
+# verify combines residuals at 53 bits, mpmath's default precision
+_VERIFY_BITS = 53
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,9 +120,8 @@ def parse_complex(text: str) -> complex:
 def _nstr_parts(value: Any, digits: int, cfg: EvalConfig) -> tuple[str, str]:
     """Real and imaginary parts of a kernel value, rounded to ``digits``
     significant digits at the working precision the value was computed at."""
-    with mp.workprec(cfg.precision_bits + _GUARD_BITS):
-        v = mpc(value)
-        return mp.nstr(mp.re(v), digits), mp.nstr(mp.im(v), digits)
+    re, im = _parts(value, cfg.precision_bits + _GUARD_BITS)
+    return libmp.to_str(re, digits), libmp.to_str(im, digits)
 
 
 def _emit(payload: dict, fmt: str, text_lines: list[str] | None = None) -> None:
@@ -326,20 +327,20 @@ def _cmd_verify(args) -> int:
     if args.chi:
         chi = _resolve_character(args.chi)
         fam = character_identities(_parse_ints(args.s), chi, cfg)
-        total = mpc(0)
-        bound = 0.0
+        total, bound = (libmp.fzero, libmp.fzero), 0.0
         for w, ident in fam:
             if w.value == 0 and w.bound == 0:  # non-coprime n: adds exactly 0
                 continue
             r = ident.residual(z0, cfg)
-            total += mpc(w.value) * mpc(r.value)
-            wm, rm = float(abs(mpc(w.value))), float(abs(mpc(r.value)))
+            wv, rv = _parts(w.value, _VERIFY_BITS), _parts(r.value, _VERIFY_BITS)
+            total = libmp.mpc_add(total, libmp.mpc_mul(wv, rv, _VERIFY_BITS, _RND), _VERIFY_BITS, _RND)
+            wm, rm = _mag(wv, _VERIFY_BITS), _mag(rv, _VERIFY_BITS)
             bound += wm * r.bound + rm * w.bound + w.bound * r.bound
-        residual = float(abs(total))
+        residual = _mag(total, _VERIFY_BITS)
     else:
         ident = _identity_for(args)
         r = ident.residual(z0, cfg)
-        residual = float(abs(mpc(r.value)))
+        residual = _mag(_parts(r.value, _VERIFY_BITS), _VERIFY_BITS)
         bound = r.bound
     ok = residual <= bound + tol
     payload = {

@@ -22,16 +22,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from mpmath import mp, mpc
+from mpmath import libmp, mp, mpc
 
 from .numerics import (
     DEFAULT_CONFIG,
     EvalConfig,
     EvalResult,
     _GUARD_BITS,
+    _RND,
     _e_of,
     _eps,
-    _mp_lock,
+    _mag,
+    _parts,
     eval_expr,
 )
 from .reduction import Identity, cyclic_sum_identity
@@ -141,7 +143,7 @@ class DirichletCharacter:
         a = self.angle(n)
         if a is None:
             return mpc(0)
-        return _e_of(a, prec)
+        return mp.make_mpc(_e_of(a, prec))
 
 
 def _conductor(f: int, angles: Sequence[Optional[Fraction]]) -> int:
@@ -207,19 +209,17 @@ def gauss_sum(chi: DirichletCharacter, cfg: EvalConfig = DEFAULT_CONFIG) -> Eval
     """tau(chi) = sum_{n=1..f} chi(n) e(n/f) at working precision."""
     f = chi.modulus
     prec = cfg.precision_bits + _GUARD_BITS
-    with _mp_lock, mp.workprec(prec):
-        total = mpc(0)
-        for n in range(1, f + 1):
-            a = chi.angle(n)
-            if a is None:
-                continue
-            total += _e_of(a + Fraction(n, f), prec)
-        return EvalResult(total, 8 * f * _eps(prec))
+    total = (libmp.fzero, libmp.fzero)
+    for n in range(1, f + 1):
+        a = chi.angle(n)
+        if a is not None:
+            total = libmp.mpc_add(total, _e_of(a + Fraction(n, f), prec), prec, _RND)
+    return EvalResult(mp.make_mpc(total), 8 * f * _eps(prec))
 
 
-def _inverse_error(t: EvalResult) -> float:
+def _inverse_error(t: EvalResult, prec: int) -> float:
     """Error of 1/t given t's bound: |d(1/t)| <= err / (|t| (|t| - err))."""
-    tm = float(abs(mpc(t.value)))
+    tm = _mag(_parts(t.value, prec), prec)
     return t.bound / (tm * max(tm - t.bound, 1e-300))
 
 
@@ -262,15 +262,10 @@ def mt_l_value(
 
     prec = cfg.precision_bits + _GUARD_BITS
     taus = [gauss_sum(chi.conjugate(), cfg) for chi in chis]
-    with _mp_lock, mp.workprec(prec):
-        inv_taus = []
-        inv_tau_errs = []
-        for t in taus:
-            inv_taus.append(1 / mpc(t.value))
-            inv_tau_errs.append(_inverse_error(t))
+    inv_taus = [libmp.mpc_mpf_div(libmp.fone, _parts(t.value, prec), prec, _RND) for t in taus]
+    inv_tau_errs = [_inverse_error(t, prec) for t in taus]
 
-    total = mpc(0)
-    bound = 0.0
+    total, bound = (libmp.fzero, libmp.fzero), 0.0
     for jvec in itertools.product(*[range(1, chi.modulus + 1) for chi in chis]):
         angs = [
             None if a is None else (-a) % 1
@@ -280,18 +275,15 @@ def mt_l_value(
             continue
         colors = [Fraction(j, chi.modulus) for chi, j in zip(chis, jvec)]
         val = eval_expr(_colored_value_expr(exps, colors), cfg=cfg)
-        with _mp_lock, mp.workprec(prec):
-            wt = mpc(1)
-            wt_err = 0.0
-            for a, it, ie in zip(angs, inv_taus, inv_tau_errs):
-                wt *= _e_of(a, prec) * it
-                wt_err += ie  # relative errors add to first order
-            wmag = float(abs(wt))
-            total += wt * mpc(val.value)
-            bound += wmag * val.bound + float(abs(mpc(val.value))) * wmag * (
-                wt_err + 8 * _eps(prec)
-            )
-    return EvalResult(total, bound)
+        wt, wt_err = (libmp.fone, libmp.fzero), 0.0
+        for a, it, ie in zip(angs, inv_taus, inv_tau_errs):
+            wt = libmp.mpc_mul(wt, libmp.mpc_mul(_e_of(a, prec), it, prec, _RND), prec, _RND)
+            wt_err += ie  # relative errors add to first order
+        wmag = _mag(wt, prec)
+        v = _parts(val.value, prec)
+        total = libmp.mpc_add(total, libmp.mpc_mul(wt, v, prec, _RND), prec, _RND)
+        bound += wmag * val.bound + _mag(v, prec) * wmag * (wt_err + 8 * _eps(prec))
+    return EvalResult(mp.make_mpc(total), bound)
 
 
 def character_identities(
@@ -312,11 +304,10 @@ def character_identities(
     for n in range(1, f + 1):
         ident = cyclic_sum_identity(s, Fraction(n, f))
         a = chi.angle(n)
-        with _mp_lock, mp.workprec(prec):
-            if a is None:
-                w = EvalResult(mpc(0), 0.0)
-            else:
-                wv = _e_of((-a) % 1, prec) / mpc(tau.value)
-                w = EvalResult(wv, float(abs(wv)) * (_inverse_error(tau) + 8 * _eps(prec)))
+        if a is None:
+            w = EvalResult(mpc(0), 0.0)
+        else:
+            wv = libmp.mpc_div(_e_of((-a) % 1, prec), _parts(tau.value, prec), prec, _RND)
+            w = EvalResult(mp.make_mpc(wv), _mag(wv, prec) * (_inverse_error(tau, prec) + 8 * _eps(prec)))
         out.append((w, ident))
     return out

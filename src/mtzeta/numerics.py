@@ -17,8 +17,7 @@ Evaluation routes:
 * MZVs of every depth and color with integer exponents, the depth-1 values
   (Lerch values and odd zeta(n)) included, by splitting the iterated
   integral at 1/p into products of geometrically convergent nested sums,
-  in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F,
-  and mpmath's global precision is never read or set;
+  in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F;
 * MT values either through the exact rewriting into MZVs (integer
   exponents) or by direct truncated summation, as one-dimensional
   convolutions over the totals, in float64.
@@ -28,6 +27,11 @@ two such Lerch, MZV or MT atoms with integer exponents only the one with
 the smaller key is evaluated (_eval_atom); the other gets the exact
 conjugate and the same bound.  The CLI's ``eval`` with one head slot and a
 non-integer z is phi(s_1 + z), which takes lerch_phi, not mt_direct.
+
+Every value is computed at an explicit precision (libmp calls on raw
+tuples, fixed point, float64, or a private mpmath context built for the
+call): mpmath's global precision is never read or set, so no result
+depends on the caller's mp.prec and no kernel takes a lock.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-import threading
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +47,8 @@ from operator import floordiv, rshift
 from typing import Any, Sequence
 
 import numpy as np
-from mpmath import libmp, mp, mpc, mpf
+from mpmath import libmp, mp, mpc
+from mpmath.ctx_mp import MPContext
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
@@ -102,47 +106,44 @@ class EvalResult:
     bound: float
 
     def __repr__(self) -> str:
-        return f"EvalResult({mp.nstr(mpc(self.value), 20)}, bound={self.bound:.3e})"
-
-
-def _ev_mul(a: EvalResult, b: EvalResult) -> EvalResult:
-    va, vb = mpc(a.value), mpc(b.value)
-    bound = float(abs(va)) * b.bound + float(abs(vb)) * a.bound + a.bound * b.bound
-    return EvalResult(va * vb, bound)
-
-
-def _ev_scale(c: Fraction, a: EvalResult) -> EvalResult:
-    return EvalResult(mpc(a.value) * mpf(c.numerator) / mpf(c.denominator), abs(float(c)) * a.bound)
+        return f"EvalResult({mp.nstr(self.value, 20)}, bound={self.bound:.3e})"
 
 
 def _eps(prec: int) -> float:
     return math.ldexp(1.0, 1 - prec)
 
 
-# mpmath's global precision state is not safe under concurrent mutation;
-# every kernel that touches it runs under this lock.
-_mp_lock = threading.RLock()
+_RND = libmp.round_nearest
 
 
-@functools.lru_cache(maxsize=64)
-def _pi(prec: int):
-    with _mp_lock, mp.workprec(prec):
-        return +mp.pi
+def _parts(v: Any, prec: int) -> tuple:
+    """Raw (re, im) of an mpf or mpc v, each rounded to prec bits, as mpc(v)
+    makes them at that precision."""
+    re, im = v._mpc_ if hasattr(v, "_mpc_") else (v._mpf_, libmp.fzero)
+    return libmp.mpf_pos(re, prec, _RND), libmp.mpf_pos(im, prec, _RND)
 
 
-def _e_of(x: Fraction, prec: int):
-    """e(x) = exp(2 pi i x) for exact rational x."""
-    with _mp_lock, mp.workprec(prec):
-        return mp.expjpi(2 * mpf(x.numerator) / mpf(x.denominator))
+def _mag(z: tuple, prec: int) -> float:
+    """|z| of raw (re, im) rounded to prec bits, then to the nearest float, as
+    float(abs(mpc)) gives it at that precision."""
+    return libmp.to_float(libmp.mpc_abs(z, prec, _RND), rnd=_RND)
 
 
-def _to_mp(s: Any):
-    """Exact conversion of supported scalar types to mpf/mpc."""
+def _e_of(x: Fraction, prec: int) -> tuple:
+    """e(x) = exp(2 pi i x) for exact rational x as raw (re, im) at prec bits."""
+    return libmp.mpf_cos_sin_pi(libmp.from_rational(2 * x.numerator, x.denominator, prec, _RND), prec, _RND)
+
+
+def _in_context(s: Any, prec: int) -> tuple[MPContext, Any]:
+    """A private mpmath context at prec bits, built for the call (rf,
+    factorial and complex powers change a context's precision while they
+    run, so mpmath's global one is never used), and s in it: an int, float
+    or Fraction as an mpf, any other number as an mpc."""
+    ctx = MPContext()
+    ctx.prec = prec
     if isinstance(s, Fraction):
-        return mpf(s.numerator) / mpf(s.denominator)
-    if isinstance(s, (int, float)):
-        return mpf(s)
-    return mpc(s)
+        return ctx, ctx.mpf(s.numerator) / ctx.mpf(s.denominator)
+    return ctx, ctx.mpf(s) if isinstance(s, (int, float)) else ctx.mpc(s)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +161,11 @@ def even_zeta_rational(n: int) -> Fraction:
 
 def even_zeta(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     prec = cfg.precision_bits + _GUARD_BITS
-    with _mp_lock, mp.workprec(prec):
-        r = even_zeta_rational(n)
-        value = mpf(r.numerator) / mpf(r.denominator) * _pi(prec) ** n
-        return EvalResult(value, float(abs(value)) * (n + 4) * _eps(prec))
+    r = even_zeta_rational(n)
+    num, den = (libmp.from_int(x, prec, _RND) for x in (r.numerator, r.denominator))
+    pi_n = libmp.mpf_pow_int(libmp.mpf_pi(prec, _RND), n, prec, _RND)
+    value = libmp.mpf_mul(libmp.mpf_div(num, den, prec, _RND), pi_n, prec, _RND)
+    return EvalResult(mp.make_mpf(value), _mag((value, libmp.fzero), prec) * (n + 4) * _eps(prec))
 
 
 def zeta_int(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
@@ -199,53 +201,51 @@ def hurwitz_zeta(
     if not 0 < a <= 1:
         raise ValueError(f"need 0 < a <= 1, got {a}")
     prec = cfg.precision_bits + _GUARD_BITS
-    with _mp_lock, mp.workprec(prec):
-        sv = _to_mp(s)
-        sig = float(mp.re(sv))
-        if sv == 1:
-            raise ValueError("zeta(s, a) has a pole at s = 1")
-        if sig <= 1:
-            raise ValueError(f"Re(s) > 1 required, got {s!r}")
-        av = mpf(a.numerator) / mpf(a.denominator)
-        R = max(12, prec // 6)
-        target = max(cfg.target_tol / 8, 4.0 * _eps(prec))
-        M = max(32, 2 * R, int(2 * abs(complex(sv))) + 8)
-        # in mpf: B_{2R+2}, (2R+2)! and the rising factorial leave float
-        # range once 2R+2 >= 171, though the remainder itself is small
-        b_next = bernoulli(2 * R + 2)
-        ratio = abs(mpf(b_next.numerator) / b_next.denominator) / mp.factorial(2 * R + 2)
-        ratio *= abs(mp.rf(sv, 2 * R + 1))
-        for _ in range(40):
-            x = M + av
-            t_next = ratio * x ** mpf(-sig - 2 * R - 1)
-            rem = float(t_next * abs(sv + 2 * R + 1) / (sig + 2 * R + 1))
-            if rem <= target or M > 1 << 22:
-                break
-            M *= 2
+    ctx, sv = _in_context(s, prec)
+    sig = float(ctx.re(sv))
+    if sv == 1:
+        raise ValueError("zeta(s, a) has a pole at s = 1")
+    if sig <= 1:
+        raise ValueError(f"Re(s) > 1 required, got {s!r}")
+    av = ctx.mpf(a.numerator) / ctx.mpf(a.denominator)
+    R = max(12, prec // 6)
+    target = max(cfg.target_tol / 8, 4.0 * _eps(prec))
+    M = max(32, 2 * R, int(2 * abs(complex(sv))) + 8)
+    # in mpf: B_{2R+2}, (2R+2)! and the rising factorial leave float
+    # range once 2R+2 >= 171, though the remainder itself is small
+    b_next = bernoulli(2 * R + 2)
+    ratio = abs(ctx.mpf(b_next.numerator) / b_next.denominator) / ctx.factorial(2 * R + 2)
+    ratio *= abs(ctx.rf(sv, 2 * R + 1))
+    for _ in range(40):
         x = M + av
-        head = sum((j + av) ** (-sv) for j in range(M))
-        mag = sum(float((j + av) ** (-sig)) for j in range(M))
-        tail = x ** (1 - sv) / (sv - 1) + x ** (-sv) / 2
-        mag += float(abs(tail))
-        corr, rf = mpc(0), sv
-        for r in range(1, R + 1):
-            if r > 1:
-                rf *= (sv + 2 * r - 3) * (sv + 2 * r - 2)
-            b = bernoulli(2 * r)
-            term = (
-                mpf(b.numerator)
-                / mpf(b.denominator)
-                / math.factorial(2 * r)
-                * rf
-                * x ** (-sv - 2 * r + 1)
-            )
-            corr += term
-            mag += float(abs(term))
-        value = head + tail + corr
-        roundoff = 8 * (M + R) * _eps(prec) * mag
-        if mp.im(value) == 0:
-            value = mp.re(value)
-        return EvalResult(value, rem + roundoff)
+        t_next = ratio * x ** ctx.mpf(-sig - 2 * R - 1)
+        rem = float(t_next * abs(sv + 2 * R + 1) / (sig + 2 * R + 1))
+        if rem <= target or M > 1 << 22:
+            break
+        M *= 2
+    x = M + av
+    head = sum((j + av) ** (-sv) for j in range(M))
+    mag = sum(float((j + av) ** (-sig)) for j in range(M))
+    tail = x ** (1 - sv) / (sv - 1) + x ** (-sv) / 2
+    mag += float(abs(tail))
+    corr, rf = ctx.mpc(0), sv
+    for r in range(1, R + 1):
+        if r > 1:
+            rf *= (sv + 2 * r - 3) * (sv + 2 * r - 2)
+        b = bernoulli(2 * r)
+        term = (
+            ctx.mpf(b.numerator)
+            / ctx.mpf(b.denominator)
+            / math.factorial(2 * r)
+            * rf
+            * x ** (-sv - 2 * r + 1)
+        )
+        corr += term
+        mag += float(abs(term))
+    value = head + tail + corr
+    roundoff = 8 * (M + R) * _eps(prec) * mag
+    value = mp.make_mpf(value._mpc_[0]) if ctx.im(value) == 0 else mp.make_mpc(value._mpc_)
+    return EvalResult(value, rem + roundoff)
 
 
 def lerch_phi(
@@ -268,19 +268,17 @@ def lerch_phi(
         return hurwitz_zeta(s, Fraction(1), cfg)
     prec = cfg.precision_bits + _GUARD_BITS
     q = alpha.denominator
-    with _mp_lock, mp.workprec(prec):
-        sv = _to_mp(s)
-        total = mpc(0)
-        bound = 0.0
-        for r in range(1, q + 1):
-            hz = hurwitz_zeta(sv, Fraction(r, q), cfg)
-            phase = _e_of(alpha * r, prec)
-            total += phase * mpc(hz.value)
-            bound += hz.bound + float(abs(mpc(hz.value))) * 4 * _eps(prec)
-        scale = q ** (-sv)
-        value = scale * total
-        smag = float(abs(scale))
-        return EvalResult(value, smag * bound + float(abs(value)) * (q + 8) * _eps(prec))
+    ctx, sv = _in_context(s, prec)
+    total, bound = ctx.mpc(0), 0.0
+    for r in range(1, q + 1):
+        hz = hurwitz_zeta(sv, Fraction(r, q), cfg)
+        hv = ctx.mpc(hz.value)
+        total += ctx.make_mpc(_e_of(alpha * r, prec)) * hv
+        bound += hz.bound + float(abs(hv)) * 4 * _eps(prec)
+    scale = q ** (-sv)
+    value = scale * total
+    smag = float(abs(scale))
+    return EvalResult(mp.make_mpc(value._mpc_), smag * bound + float(abs(value)) * (q + 8) * _eps(prec))
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +702,8 @@ def mt_direct(
     parts = math.hypot(np.sum(np.abs(p.real)), np.sum(np.abs(p.imag)))
     roundoff = float(np.sum(np.abs(g) * mods * w)) + (math.ceil(math.log2(len(n))) + 19) * parts
     roundoff = math.ldexp(roundoff, -53) * (1 + 2.0**-20)
-    return EvalResult(mpc(value), _mt_tail(sigmas, sig_tot, N) + roundoff)
+    value = mp.make_mpc((libmp.from_float(value.real), libmp.from_float(value.imag)))
+    return EvalResult(value, _mt_tail(sigmas, sig_tot, N) + roundoff)
 
 
 # ---------------------------------------------------------------------------
@@ -783,17 +782,17 @@ def eval_expr(
                 raise ValueError(f"cannot evaluate {a}: {exc}") from exc
 
     prec = cfg.precision_bits + _GUARD_BITS
-    with _mp_lock, mp.workprec(prec):
-        total = EvalResult(mpc(0), 0.0)
-        for atoms, coeff in terms:
-            term = EvalResult(mpc(1), 0.0)
-            for a in atoms:
-                term = _ev_mul(term, results[a])
-            term = _ev_scale(coeff, term)
-            total = EvalResult(
-                mpc(total.value) + mpc(term.value), total.bound + term.bound
-            )
-        value = mpc(total.value)
-        if mp.im(value) == 0:
-            value = mp.re(value)
-        return EvalResult(value, total.bound + float(abs(value)) * 8 * _eps(prec))
+    vals = {a: _parts(r.value, prec) for a, r in results.items()}
+    total, bound = (libmp.fzero, libmp.fzero), 0.0
+    for atoms, coeff in terms:
+        tv, tb = (libmp.fone, libmp.fzero), 0.0
+        for a in atoms:
+            rb = results[a].bound
+            tb = _mag(tv, prec) * rb + _mag(vals[a], prec) * tb + tb * rb
+            tv = libmp.mpc_mul(tv, vals[a], prec, _RND)
+        num, den = (libmp.from_int(x, prec, _RND) for x in (coeff.numerator, coeff.denominator))
+        tv = libmp.mpc_div_mpf(libmp.mpc_mul_mpf(tv, num, prec, _RND), den, prec, _RND)
+        total = libmp.mpc_add(total, tv, prec, _RND)
+        bound += abs(float(coeff)) * tb
+    value = mp.make_mpf(total[0]) if total[1] == libmp.fzero else mp.make_mpc(total)
+    return EvalResult(value, bound + _mag(total, prec) * 8 * _eps(prec))

@@ -295,3 +295,38 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     args = build_parser().parse_args(eval_argv)
     assert (args.alpha, args.tol, args.precision_bits, args.format) == (None, None, None, "json")
     assert not hasattr(build_parser().parse_args(["partitions", "--s", "1,2"]), "z")
+
+
+def test_output_does_not_depend_on_global_precision(capsys):
+    # every value is computed at an explicit precision, so the caller's
+    # mp.prec changes neither stdout nor a raw kernel value; the atom memo is
+    # cleared so that each setting evaluates every atom again
+    from mpmath import mp
+
+    from mtzeta import numerics
+
+    cases = [
+        ["verify", "--chi", "5,2", "--s", "2,2", "--z", "2"],
+        ["verify", "--s", "1,2,3", "--alpha", "1/3", "--z", "2+1i"],
+        ["eval", "--s", "2,2,2,2,2", "--z", "2"],
+        ["eval", "--s", "2", "--chi", "4,1"],
+        ["characters", "--mod", "5"],
+    ]
+
+    def run():
+        numerics._eval_atom.cache_clear()
+        outputs = []
+        for argv in cases:
+            code = main(argv)
+            outputs.append((code, capsys.readouterr().out))
+        r = numerics.mt_direct((1, 2 + 1j, 2), (0, Fraction(1, 3), 0))
+        return outputs, r.value._mpc_, r.bound
+
+    saved = mp.prec
+    try:
+        want = run()
+        for prec in (20, 300):
+            mp.prec = prec
+            assert run() == want, prec
+    finally:
+        mp.prec = saved

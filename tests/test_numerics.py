@@ -326,9 +326,11 @@ def test_dual_path_randomized_corpus():
 
 
 def test_concurrent_readers():
-    # Bernoulli cache insertion and atom evaluation under concurrent use;
-    # character values at 64 bits (_e_of) interleave with kernels that set
-    # mpmath's precision to 272 bits, so both must hold _mp_lock
+    # Bernoulli cache insertion and atom evaluation under concurrent use:
+    # character values at 64 bits (_e_of) interleave with kernels at 272
+    # bits, and one more thread keeps switching mpmath's global precision;
+    # every kernel works at its own explicit precision and takes no lock,
+    # so each job still returns its results bit for bit
     import threading
 
     import mtzeta.numerics as num
@@ -345,8 +347,8 @@ def test_concurrent_readers():
         return [lerch_phi(2.5 + 1j, Fraction(1, 3), hi), even_zeta(6, hi), hurwitz_zeta(3.5, Fraction(1, 4), hi)]
 
     def split():
-        # the unlocked fixed-point route: depth >= 3 words sharing suffixes
-        # and a colored word, plus a direct MT atom at complex z
+        # the fixed-point route: depth >= 3 words sharing suffixes and a
+        # colored word, plus a direct MT atom at complex z
         mid = EvalConfig(precision_bits=128, target_tol=1e-12)
         words = [(2, 1, 1), (3, 1, 1), (2, 2, 1), (4, 2, 1), (3, 2, 1, 1)]
         out = [mzv_eval(w, cfg=mid) for w in words] + [mzv_eval((2, 1), (Fraction(1, 2), 0), mid)]
@@ -357,6 +359,7 @@ def test_concurrent_readers():
     exact._bernoulli_cache[:] = exact._bernoulli_cache[:2]
     num._li_half.cache_clear()
     errors = []
+    done = threading.Event()
 
     def worker(seed):
         try:
@@ -370,8 +373,15 @@ def test_concurrent_readers():
         except Exception as exc:  # pragma: no cover
             errors.append(exc)
 
-    interval = sys.getswitchinterval()
+    def switcher():
+        while not done.is_set():
+            mp.prec = 20
+            mp.prec = 300
+
+    interval, saved = sys.getswitchinterval(), mp.prec
     sys.setswitchinterval(1e-6)
+    flipper = threading.Thread(target=switcher)
+    flipper.start()
     try:
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         for t in threads:
@@ -380,9 +390,36 @@ def test_concurrent_readers():
             t.join(timeout=120)
             assert not t.is_alive()
     finally:
+        done.set()
+        flipper.join(timeout=10)
         sys.setswitchinterval(interval)
+        mp.prec = saved
+    assert not flipper.is_alive()
     assert not errors
     assert exact.bernoulli(12) == Fraction(-691, 2730)
+
+
+def test_src_sets_no_global_precision():
+    # no module of the package reads or sets mpmath's global precision
+    # through its context managers, assigns mp.prec or mp.dps, or keeps a
+    # lock for it
+    import ast
+    from pathlib import Path
+
+    import mtzeta
+
+    banned = {"workprec", "workdps", "extraprec", "extradps", "_mp_lock"}
+    found = []
+    for path in sorted(Path(mtzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.attr if isinstance(node, ast.Attribute) else node.id if isinstance(node, ast.Name) else None
+            if name in banned:
+                found.append((path.name, node.lineno, name))
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+            for t in targets:
+                if isinstance(t, ast.Attribute) and t.attr in ("prec", "dps") and isinstance(t.value, ast.Name) and t.value.id == "mp":
+                    found.append((path.name, t.lineno, f"mp.{t.attr} ="))
+    assert not found
 
 
 def test_atom_cache_hits_on_repeat():
@@ -570,7 +607,7 @@ def _lerch_hurwitz(s, alpha, cfg=CFG):
         total, bound = mp.mpc(0), 0.0
         for r in range(1, q + 1):
             hz = _hurwitz(s, Fraction(r, q), cfg)
-            total += _e_of(alpha * r, prec) * mp.mpc(hz.value)
+            total += mp.make_mpc(_e_of(alpha * r, prec)) * mp.mpc(hz.value)
             bound += hz.bound + float(abs(mp.mpc(hz.value))) * 4 * _eps(prec)
         scale = mp.mpf(q) ** -s
         value = scale * total
