@@ -13,6 +13,7 @@ Schema version: "mtzeta/1".
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -65,9 +66,11 @@ def _fractions_arg(text: str) -> list[Fraction]:
 def _complex_arg(text: str) -> str:
     """Checks a --z flag but keeps its text, which verify echoes."""
     try:
-        parse_complex(text)
+        z = parse_complex(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad complex value {text!r}") from None
+        z = complex(math.nan)
+    if not cmath.isfinite(z):
+        raise argparse.ArgumentTypeError(f"bad complex value {text!r}, need finite parts")
     return text
 
 
@@ -481,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
         return _usage_error("--alpha and --chi are mutually exclusive")
     try:
         return args.fn(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,6 @@ Conventions:
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
@@ -26,27 +25,28 @@ __all__ = [
     "product_integral",
 ]
 
-# Cache of B_0..B_n, grown on demand.  Guarded by a lock so concurrent
-# readers never observe a partially extended table.
-_bernoulli_cache: list[Fraction] = [Fraction(1), Fraction(-1, 2)]
-_cache_lock = threading.Lock()
+# B_0..B_n, grown on demand.  The table is a tuple, rebound after each
+# extension and never changed in place: a reader keeps the tuple it read, and
+# two threads that extend it at once each build a correct prefix.
+_bernoulli_cache: tuple[Fraction, ...] = (Fraction(1), Fraction(-1, 2))
 
 
 def bernoulli(n: int) -> Fraction:
     """Return the Bernoulli number B_n (convention B_1 = -1/2)."""
+    global _bernoulli_cache
     if n < 0:
         raise ValueError(f"Bernoulli index must be >= 0, got {n}")
     if n > 1 and n % 2 == 1:
         return Fraction(0)
-    with _cache_lock:
-        while len(_bernoulli_cache) <= n:
+    table = _bernoulli_cache
+    if n >= len(table):
+        ext = list(table)
+        while len(ext) <= n:
             # Defining recurrence: sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1.
-            m = len(_bernoulli_cache)
-            acc = sum(
-                Fraction(comb(m + 1, k)) * _bernoulli_cache[k] for k in range(m)
-            )
-            _bernoulli_cache.append(-acc / (m + 1))
-        return _bernoulli_cache[n]
+            m = len(ext)
+            ext.append(-sum(Fraction(comb(m + 1, k)) * ext[k] for k in range(m)) / (m + 1))
+        table = _bernoulli_cache = tuple(ext)
+    return table[n]
 
 
 def binomial(n: int, k: int) -> int:

@@ -75,11 +75,11 @@ def partial_fraction_pair(a: int, b: int) -> list[tuple[int, int, int]]:
 def per_sum(args: Sequence, f: Callable[..., Expr]) -> Expr:
     """sum_{j=1}^{n} f(x_1, ..., x_{j-1}, x_{j+1}, ..., x_n, x_j)."""
     args = tuple(args)
-    total = Expr.zero()
-    for j in range(len(args)):
-        rest = args[:j] + args[j + 1 :] + (args[j],)
-        total = total + f(*rest)
-    return total
+    return Expr(
+        pair
+        for j in range(len(args))
+        for pair in f(*args[:j], *args[j + 1 :], args[j]).terms.items()
+    )
 
 
 def mt_to_mzv_depth2(a: int, b: int, c: int) -> Expr:
@@ -91,12 +91,10 @@ def mt_to_mzv_depth2(a: int, b: int, c: int) -> Expr:
     check_mt_convergence((a, b, c))
 
     def body(x: int, y: int) -> Expr:
-        out = Expr.zero()
-        for v in range(y):
-            out = out + Expr.term(
-                binomial(x + v - 1, v), (mzv((c + x + v, y - v), (0, 0)),)
-            )
-        return out
+        return Expr(
+            ((mzv((c + x + v, y - v), (0, 0)),), binomial(x + v - 1, v))
+            for v in range(y)
+        )
 
     return per_sum((a, b), body)
 
@@ -108,28 +106,24 @@ def mt_to_mzv_depth3(a: int, b: int, c: int, d: int) -> Expr:
             raise ValueError("exponents must be positive integers")
     check_mt_convergence((a, b, c, d))
 
-    def body(x: int, y: int, w: int) -> Expr:
-        out = Expr.zero()
+    def terms(x: int, y: int, w: int):
         for v1 in range(x):
             for v2 in range(y):
                 m = multinomial((v1, v2, w - 1))
-                inner = Expr.zero()
                 for v3 in range(x - v1):
-                    inner = inner + Expr.term(
-                        binomial(y - v2 + v3 - 1, v3),
+                    yield (
                         (mzv((w + d + v1 + v2, y - v2 + v3, x - v1 - v3), (0, 0, 0)),),
+                        m * binomial(y - v2 + v3 - 1, v3),
                     )
                 for v3 in range(y - v2):
                     # second kind keeps y and transfers from x, so the
                     # surviving-variable slot (last) holds y's exponent
-                    inner = inner + Expr.term(
-                        binomial(x - v1 + v3 - 1, v3),
+                    yield (
                         (mzv((w + d + v1 + v2, x - v1 + v3, y - v2 - v3), (0, 0, 0)),),
+                        m * binomial(x - v1 + v3 - 1, v3),
                     )
-                out = out + inner.scale(m)
-        return out
 
-    return per_sum((a, b, c), body)
+    return per_sum((a, b, c), lambda x, y, w: Expr(terms(x, y, w)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +193,15 @@ def mt_to_mzv(
                 nxt[key] = nxt.get(key, 0) + coeff * state.count(state[i])
         layer = nxt
 
-    result: dict[tuple, int] = {}
-    for (_, slots, _), coeff in layer.items():
-        es = [e for e, _ in slots]
-        es[0] += exps[-1]
-        gs = [palette[g] for _, g in slots]
-        hs = [gs[0] + cols[-1]] + [b - a for a, b in zip(gs, gs[1:])]
-        result[(mzv(es, hs),)] = coeff
-    out = Expr(result)
+    def terms():
+        for (_, slots, _), coeff in layer.items():
+            es = [e for e, _ in slots]
+            es[0] += exps[-1]
+            gs = [palette[g] for _, g in slots]
+            hs = [gs[0] + cols[-1]] + [b - a for a, b in zip(gs, gs[1:])]
+            yield (mzv(es, hs),), coeff
+
+    out = Expr(terms())
     for atom in out.atoms():
         _check_conserved(atom, weight, k)
     return out

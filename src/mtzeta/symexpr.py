@@ -27,15 +27,18 @@ complex) and the atoms keep their classes.
 
 ``Expr`` is a map from atom multisets to rational coefficients.  The map is
 canonical: no zero coefficients, atoms sorted by a fixed total order, so
-two expressions are equal iff their maps are equal.
+two expressions are equal iff their maps are equal.  ``Expr(pairs)`` builds
+the map from all its (atoms, coefficient) terms in one pass; builders pass
+every term at once rather than adding one-term expressions in a loop.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Any, Iterable, Iterator, Mapping, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "AffineExp",
@@ -259,52 +262,52 @@ TermKey = tuple  # sorted tuple of atoms
 
 
 class Expr:
-    """Canonical rational-linear combination of products of atoms."""
+    """Canonical rational-linear combination of products of atoms.
+
+    ``Expr(pairs)`` takes every (atoms, coefficient) term of the expression
+    at once, so a builder yields its terms into one constructor call instead
+    of summing single-term expressions.  The constructor is the only code
+    that sorts atoms, merges equal products, drops zero coefficients and
+    then rejects a term with two z-bearing atoms; the ring operations pass
+    their terms straight to it.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, raw: Mapping[TermKey, Fraction] | None = None):
+    def __init__(self, pairs: Iterable[tuple[Iterable[Atom], Any]] = ()):
         terms: dict[TermKey, Fraction] = {}
-        if raw:
-            for atoms, coeff in raw.items():
-                coeff = Fraction(coeff)
-                if not coeff:
-                    continue
-                if sum(atom_has_z(a) for a in atoms) > 1:
-                    raise ValueError("term with two z-bearing atoms")
-                key = tuple(sorted(atoms, key=lambda a: a.key()))
-                acc = terms.get(key, Fraction(0)) + coeff
-                if acc:
-                    terms[key] = acc
-                else:
-                    terms.pop(key, None)
+        for atoms, coeff in pairs:
+            coeff = Fraction(coeff)
+            if not coeff:
+                continue
+            key = tuple(sorted(atoms, key=lambda a: a.key()))
+            if sum(atom_has_z(a) for a in key) > 1:
+                raise ValueError("term with two z-bearing atoms")
+            acc = terms.get(key, 0) + coeff
+            if acc:
+                terms[key] = acc
+            else:
+                del terms[key]
         object.__setattr__(self, "terms", terms)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def zero() -> "Expr":
-        return Expr()
-
-    @staticmethod
     def constant(c: Union[int, Fraction]) -> "Expr":
-        return Expr({(): Fraction(c)})
+        return Expr([((), c)])
 
     @staticmethod
     def term(coeff: Union[int, Fraction], atoms: Iterable[Atom] = ()) -> "Expr":
-        return Expr({tuple(atoms): Fraction(coeff)})
+        return Expr([(atoms, coeff)])
 
     @staticmethod
     def atom(a: Atom) -> "Expr":
-        return Expr({(a,): Fraction(1)})
+        return Expr([((a,), 1)])
 
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Expr") -> "Expr":
-        raw = dict(self.terms)
-        for k, c in other.terms.items():
-            raw[k] = raw.get(k, Fraction(0)) + c
-        return Expr(raw)
+        return Expr(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "Expr") -> "Expr":
         return self + other.scale(-1)
@@ -314,17 +317,14 @@ class Expr:
 
     def scale(self, c: Union[int, Fraction]) -> "Expr":
         c = Fraction(c)
-        if not c:
-            return Expr()
-        return Expr({k: v * c for k, v in self.terms.items()})
+        return Expr((k, v * c) for k, v in self.terms.items())
 
     def __mul__(self, other: "Expr") -> "Expr":
-        raw: dict[TermKey, Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = ka + kb
-                raw[key] = raw.get(key, Fraction(0)) + ca * cb
-        return Expr(raw)
+        return Expr(
+            (ka + kb, ca * cb)
+            for ka, ca in self.terms.items()
+            for kb, cb in other.terms.items()
+        )
 
     # -- inspection ----------------------------------------------------
 
@@ -367,11 +367,10 @@ class Expr:
         numbers.  Requires Re(z0) >= 1 (evaluation domain)."""
         if complex(z0).real < 1:
             raise ValueError(f"substitution requires Re(z) >= 1, got {z0!r}")
-        raw: dict[TermKey, Fraction] = {}
-        for atoms, c in self.terms.items():
-            new = tuple(_substitute_atom(a, z0) for a in atoms)
-            raw[new] = raw.get(new, Fraction(0)) + c
-        return Expr(raw)
+        return Expr(
+            (tuple(_substitute_atom(a, z0) for a in atoms), c)
+            for atoms, c in self.terms.items()
+        )
 
 
 def _substitute_atom(a: Atom, z0: Any) -> Atom:
@@ -452,8 +451,7 @@ def expr_to_json(e: Expr) -> list[dict]:
 
 
 def expr_from_json(data: Iterable[dict]) -> Expr:
-    raw: dict[TermKey, Fraction] = {}
-    for entry in data:
-        atoms = tuple(atom_from_json(a) for a in entry["atoms"])
-        raw[atoms] = raw.get(atoms, Fraction(0)) + Fraction(entry["coeff"])
-    return Expr(raw)
+    return Expr(
+        (tuple(atom_from_json(a) for a in entry["atoms"]), entry["coeff"])
+        for entry in data
+    )

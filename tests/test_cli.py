@@ -8,14 +8,14 @@ from pathlib import Path
 import pytest
 
 import mtzeta
-from mtzeta import mzvconvert
+from mtzeta import mzvconvert, reduction
 from mtzeta.cli import identity_from_json, identity_to_json, main, parse_complex
 from mtzeta.numerics import _MAX_PRECISION_BITS
 from mtzeta.reduction import cyclic_sum_identity
 from mtzeta.symexpr import expr_from_json, expr_to_json
 
 
-def run_cli(*argv):
+def run_cli(*argv, timeout=None):
     # the child imports the same mtzeta as this process, installed or not
     src = str(Path(mtzeta.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -24,6 +24,7 @@ def run_cli(*argv):
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -96,6 +97,29 @@ def test_convert_budget_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(mzvconvert, "_MAX_STEPS", 10)
     assert main(["convert", "--s", "2,2,2,2"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_reduce_budget_exit_code(monkeypatch, capsys):
+    # one budget per identity, shared by its subsets, for every verb that
+    # builds identities
+    monkeypatch.setattr(reduction, "_MAX_WORK", 10)
+    for argv in (
+        ["reduce", "--s", "2,2,2"],
+        ["reduce", "--s", "2,2,2", "--chi", "3,1"],
+        ["verify", "--s", "2,2,2", "--z", "2"],
+    ):
+        assert main(argv) == 2, argv
+        assert "budget" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["reduce", "--s", "2,2,2"]) == 0
+
+
+def test_reduce_budget_stops_high_weight_quickly():
+    # the binomials of each term grow with the weight: without the budget
+    # this reduction runs for minutes
+    rc, out, err = run_cli("reduce", "--s", "1000,1000,1000", timeout=60)
+    assert rc == 2 and not out, err
+    assert "budget" in err and "Traceback" not in err
 
 
 def test_convert_budget_bounds_memory_at_depth_60():
@@ -202,10 +226,17 @@ def test_determinism_and_exit1():
         ("eval", "--s", "2,2", "--z", "2", "--precision-bits", "10"),
         ("characters", "--mod", "4", "--precision-bits", "8"),
         ("eval", "--s", "3", "--precision-bits", str(_MAX_PRECISION_BITS + 1)),
+        ("verify", "--s", "2,2", "--z", "inf"),
+        ("eval", "--s", "2,2", "--z", "inf"),
+        ("eval", "--s", "2,2", "--z", "nan"),
+        ("verify", "--s", "2,2", "--z", "1e400"),
     ):
         rc, _, err = run_cli(*argv)
         assert rc == 1, argv
         assert "usage" in err and "Traceback" not in err, argv
+    # a finite z too large for the kernels is a domain error, not a crash
+    rc, _, err = run_cli("eval", "--s", "2,2", "--z", "1e300")
+    assert rc == 2 and "domain error" in err and "Traceback" not in err, err
 
 
 def test_mutually_exclusive_alpha_chi():

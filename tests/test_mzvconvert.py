@@ -36,7 +36,7 @@ def test_per_sum_orderings():
 
     def f(*args):
         seen.append(args)
-        return Expr.zero()
+        return Expr()
 
     per_sum(("a", "b"), f)
     assert seen == [("b", "a"), ("a", "b")]
@@ -101,7 +101,7 @@ def test_general_weight_depth_conserved():
 def test_general_color_pattern_depth2():
     g1, g2, g3 = Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)
     e = mt_to_mzv((1, 1, 2), (g1, g2, g3))
-    expect = Expr.zero()
+    expect = Expr()
     # surviving x = m1: zeta(s2+s3+i, s1-i) with colors (g2+g3, g1-g2)
     for i in range(1):
         expect = expect + Expr.term(

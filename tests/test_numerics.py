@@ -275,8 +275,8 @@ def test_eval_expr_basics():
     r = eval_expr(e)
     with mp.workprec(300):
         assert_close(r, -(mp.pi**2) / 12, 1e-70)
-    assert eval_expr(Expr.zero()).value == 0
-    assert eval_expr(Expr.zero()).bound == 0
+    assert eval_expr(Expr()).value == 0
+    assert eval_expr(Expr()).bound == 0
 
 
 def test_eval_expr_with_z():
@@ -326,7 +326,7 @@ def test_dual_path_randomized_corpus():
 
 
 def test_concurrent_readers():
-    # Bernoulli cache insertion and atom evaluation under concurrent use:
+    # Bernoulli table extension and atom evaluation under concurrent use:
     # character values at 64 bits (_e_of) interleave with kernels at 272
     # bits, and one more thread keeps switching mpmath's global precision;
     # every kernel works at its own explicit precision and takes no lock,
@@ -356,7 +356,8 @@ def test_concurrent_readers():
 
     jobs = [(low, 100), (high, 2), (split, 2)]
     want = [job() for job, _ in jobs]
-    exact._bernoulli_cache[:] = exact._bernoulli_cache[:2]
+    bern = [exact.bernoulli(n) for n in range(40)]
+    exact._bernoulli_cache = exact._bernoulli_cache[:2]
     num._li_half.cache_clear()
     errors = []
     done = threading.Event()
@@ -364,7 +365,8 @@ def test_concurrent_readers():
     def worker(seed):
         try:
             for n in range(40):
-                exact.bernoulli((seed * 7 + n) % 40)
+                m = (seed * 7 + n) % 40
+                assert exact.bernoulli(m) == bern[m]
             e = Expr.term(1, (EvenZeta(2), lerch(5, 0)))
             eval_expr(e, cfg=EvalConfig(precision_bits=96))
             job, reps = jobs[seed % 3]
@@ -396,7 +398,8 @@ def test_concurrent_readers():
         mp.prec = saved
     assert not flipper.is_alive()
     assert not errors
-    assert exact.bernoulli(12) == Fraction(-691, 2730)
+    assert [exact.bernoulli(n) for n in range(40)] == bern
+    assert bern[12] == Fraction(-691, 2730)
 
 
 def test_src_sets_no_global_precision():

@@ -99,6 +99,20 @@ def test_depth2_equals_generic(alpha):
             assert d2.rhs == th.rhs
 
 
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 3)])
+def test_cyclic_rhs_is_signed_sum_of_subset_reductions(alpha):
+    # the one-pass right side against the subset expressions assembled with
+    # the ring operations
+    for k in (2, 3, 4):
+        for s in itertools.product((1, 2, 3), repeat=k):
+            oracle = Expr()
+            for size in range(2, k + 1):
+                for subset in itertools.combinations(range(1, k + 1), size):
+                    e = subset_reduction(s, subset, alpha)
+                    oracle = oracle - e if size % 2 else oracle + e
+            assert cyclic_sum_identity(s, alpha).rhs == oracle, s
+
+
 def test_depth2_rhs_symmetric_in_ab():
     for a in range(1, 5):
         for b in range(1, 5):

@@ -11,6 +11,7 @@ from mtzeta.symexpr import (
     Lerch,
     MTValue,
     Z,
+    atom_has_z,
     expr_from_json,
     expr_to_json,
     lerch,
@@ -32,7 +33,7 @@ def test_multiset_key_order_independent():
 
 def test_zero_coefficients_dropped():
     x = Expr.atom(EvenZeta(2))
-    assert (x - x) == Expr.zero()
+    assert (x - x) == Expr()
     assert not (x - x)
 
 
@@ -42,7 +43,7 @@ def test_distributivity_and_scaling():
     z = Expr.atom(lerch(5, Fraction(1, 3)))
     assert (x + y) * z == x * z + y * z
     assert x.scale(Fraction(1, 2)).scale(2) == x
-    assert x * Expr.zero() == Expr.zero()
+    assert x * Expr() == Expr()
 
 
 def test_two_z_atoms_rejected():
@@ -138,7 +139,75 @@ atoms_strategy = st.sampled_from(
 )
 exprs = st.lists(
     st.tuples(st.integers(-3, 3), st.lists(atoms_strategy, max_size=2)), max_size=3
-).map(lambda ts: sum((Expr.term(c, a) for c, a in ts), Expr.zero()))
+).map(lambda ts: sum((Expr.term(c, a) for c, a in ts), Expr()))
+
+
+z_atoms = [lerch(Z.shift(2), Fraction(1, 3)), mt_value((1, Z, 2), (0, Fraction(1, 3), 0))]
+
+
+@st.composite
+def pair_lists(draw):
+    """Term lists with repeated products in permuted atom order, zero
+    coefficients and exact cancellations, sometimes with two z atoms."""
+    base = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.one_of(atoms_strategy, st.sampled_from(z_atoms)), max_size=3),
+                st.fractions(-3, 3, max_denominator=6),
+            ),
+            max_size=5,
+        )
+    )
+    pairs = []
+    for atoms, c in base:
+        pairs.append((atoms, c))
+        again = draw(st.sampled_from([-c, Fraction(0), c, Fraction(1, 7)]))
+        pairs.append((draw(st.permutations(atoms)), again))
+    return draw(st.permutations(pairs))
+
+
+@given(pair_lists())
+def test_one_pass_constructor_matches_ring_sum(pairs):
+    def ring_sum():
+        return sum((Expr.term(c, atoms) for atoms, c in pairs), Expr())
+
+    if any(c and sum(map(atom_has_z, atoms)) > 1 for atoms, c in pairs):
+        with pytest.raises(ValueError, match="two z-bearing"):
+            Expr(pairs)
+        with pytest.raises(ValueError, match="two z-bearing"):
+            ring_sum()
+        return
+    e = Expr(pairs)
+    assert e == ring_sum()
+    for atoms, c in e.terms.items():
+        assert c and list(atoms) == sorted(atoms, key=lambda a: a.key())
+
+
+def test_builders_pass_all_terms_at_once():
+    # an expression is built by one Expr(...) call over all its terms: no
+    # Expr.zero() accumulator anywhere in the package, and no `x = x + ...`
+    # or `x = x - ...` statement in the symbolic modules, which would copy
+    # and re-canonicalize the whole expression for every term
+    import ast
+    from pathlib import Path
+
+    import mtzeta
+
+    found = []
+    for path in sorted(Path(mtzeta.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            f = node.func if isinstance(node, ast.Call) else None
+            if isinstance(f, ast.Attribute) and f.attr == "zero" and isinstance(f.value, ast.Name) and f.value.id == "Expr":
+                found.append((path.name, node.lineno, "Expr.zero()"))
+            if path.stem not in ("reduction", "mzvconvert", "symexpr") or not isinstance(node, ast.Assign):
+                continue
+            left = node.value
+            while isinstance(left, ast.BinOp) and isinstance(left.op, (ast.Add, ast.Sub)):
+                left = left.left
+            for t in node.targets:
+                if left is not node.value and isinstance(t, ast.Name) and isinstance(left, ast.Name) and left.id == t.id:
+                    found.append((path.name, node.lineno, f"{t.id} = {t.id} +/- ..."))
+    assert not found
 
 
 @given(exprs, exprs, exprs)
