@@ -206,9 +206,9 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_bern_expand(args) -> int:
     s = _parse_ints(args.s)
-    combos = {
-        "naive": naive_product(s),
+    combos = {  # by_subsets first: it refuses a vector over its budget before any work
         "by_subsets": expand_by_subsets(s),
+        "naive": naive_product(s),
         "by_partitions": expand_by_partitions(s),
     }
     if len(s) == 2:

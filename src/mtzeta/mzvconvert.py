@@ -208,12 +208,10 @@ def mt_to_mzv(
 
 
 def _check_conserved(atom: Atom, weight: int, depth: int) -> None:
-    from .symexpr import EvenZeta, Lerch, MZValue
+    from .symexpr import EvenZeta, MZValue
 
     if isinstance(atom, EvenZeta):
         vals = [atom.n]
-    elif isinstance(atom, Lerch):
-        vals = [atom.exp.const]
     elif isinstance(atom, MZValue):
         vals = [e.const for e in atom.exps]
     else:  # pragma: no cover - rewriting emits only the above

@@ -12,10 +12,11 @@ Evaluation routes:
 * even zeta values are exact rationals times a power of pi;
 * Riemann/Hurwitz zeta by Euler-Maclaurin with the explicit remainder,
   for Re(s) > 1 (absolute convergence; nothing is continued analytically);
-* Lerch (periodic zeta) at rational color p/q and a non-integer exponent
-  (a substituted complex z) via the q-term Hurwitz sum;
+* phi (periodic zeta, the depth-1 MZV) at rational color p/q and a
+  non-integer exponent (a substituted complex z) via the q-term Hurwitz
+  sum;
 * MZVs of every depth and color with integer exponents, the depth-1 values
-  (Lerch values and odd zeta(n)) included, by splitting the iterated
+  (phi at integers and odd zeta(n)) included, by splitting the iterated
   integral at 1/p into products of geometrically convergent nested sums,
   in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F;
 * MT values either through the exact rewriting into MZVs (integer
@@ -23,10 +24,10 @@ Evaluation routes:
   convolutions over the totals, in float64.
 
 Negating every color of a value with real exponents conjugates it, so of
-two such Lerch, MZV or MT atoms with integer exponents only the one with
-the smaller key is evaluated (_eval_atom); the other gets the exact
-conjugate and the same bound.  The CLI's ``eval`` with one head slot and a
-non-integer z is phi(s_1 + z), which takes lerch_phi, not mt_direct.
+two such MZV (phi at depth 1) or MT atoms with integer exponents only the
+one with the smaller key is evaluated (_eval_atom); the other gets the
+exact conjugate and the same bound.  The CLI's ``eval`` with one head slot
+and a non-integer z is phi(s_1 + z), which takes lerch_phi, not mt_direct.
 
 Every value is computed at an explicit precision (libmp calls on raw
 tuples, fixed point, float64, or a private mpmath context built for the
@@ -52,14 +53,13 @@ from mpmath.ctx_mp import MPContext
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
-from .symexpr import Atom, EvenZeta, Expr, Lerch, MTValue, MZValue, atom_has_z, lerch, mt_value, mzv
+from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, atom_has_z, mt_value, mzv
 
 __all__ = [
     "EvalConfig",
     "EvalResult",
     "even_zeta_rational",
     "even_zeta",
-    "zeta_int",
     "hurwitz_zeta",
     "lerch_phi",
     "mzv_eval",
@@ -74,6 +74,10 @@ _GUARD_BITS = 16
 _LI_GUARD_BITS = 48
 # Term budget of the truncated-sum routes (split factors, direct MT sums).
 _MAX_TERMS = 4_000_000
+# Budget of Euler-Maclaurin head terms, one mpmath complex power each, of
+# one hurwitz_zeta call or of the q calls of one lerch_phi: 5 to 8 s on one
+# x86-64 core at 64 to 256 bits.  phi(4.5; 1/500) needs 500 x 90 at 256.
+_MAX_HEAD_TERMS = 1 << 16
 # Largest precision_bits whose bound terms stay normal floats.  The
 # smallest scale any bound term carries is the ulp 2^-F of _li_half, with
 # F = precision_bits + _GUARD_BITS + _LI_GUARD_BITS (eps and the 2^-M of
@@ -168,26 +172,20 @@ def even_zeta(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     return EvalResult(mp.make_mpf(value), _mag((value, libmp.fzero), prec) * (n + 4) * _eps(prec))
 
 
-def zeta_int(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """zeta(n) for integer n >= 2 (even: closed form; odd: lerch_phi, i.e.
-    the split kernel)."""
-    if n % 2 == 0:
-        return even_zeta(n, cfg)
-    return lerch_phi(n, Fraction(0), cfg)
-
-
 # ---------------------------------------------------------------------------
 # Hurwitz zeta by Euler-Maclaurin
 
 
 def hurwitz_zeta(
-    s: Any, a: Fraction = Fraction(1), cfg: EvalConfig = DEFAULT_CONFIG
+    s: Any, a: Fraction = Fraction(1), cfg: EvalConfig = DEFAULT_CONFIG, *, calls: int = 1
 ) -> EvalResult:
     """zeta(s, a) = sum_{j>=0} (j+a)^{-s} for Re(s) > 1, 0 < a <= 1.
 
     Euler-Maclaurin with the classical remainder control: after the B_{2R}
     correction term, the error is at most the first omitted term times
-    |s+2R+1|/(Re(s)+2R+1).
+    |s+2R+1|/(Re(s)+2R+1).  The M head terms, times the ``calls`` sums of
+    this size the caller makes, must stay within _MAX_HEAD_TERMS, or it
+    raises ValueError before the head is summed.
 
     The rising factorial (s)_(2r-1) of correction r is the previous one
     times (s+2r-3)(s+2r-2): two additions and two complex products, each
@@ -216,14 +214,17 @@ def hurwitz_zeta(
     b_next = bernoulli(2 * R + 2)
     ratio = abs(ctx.mpf(b_next.numerator) / b_next.denominator) / ctx.factorial(2 * R + 2)
     ratio *= abs(ctx.rf(sv, 2 * R + 1))
-    for _ in range(40):
+    while True:
+        if calls * M > _MAX_HEAD_TERMS:
+            raise ValueError(
+                f"Hurwitz zeta at s = {complex(sv)} needs {calls} x {M} head terms, over the budget of {_MAX_HEAD_TERMS}"
+            )
         x = M + av
         t_next = ratio * x ** ctx.mpf(-sig - 2 * R - 1)
         rem = float(t_next * abs(sv + 2 * R + 1) / (sig + 2 * R + 1))
-        if rem <= target or M > 1 << 22:
+        if rem <= target:
             break
         M *= 2
-    x = M + av
     head = sum((j + av) ** (-sv) for j in range(M))
     mag = sum(float((j + av) ** (-sig)) for j in range(M))
     tail = x ** (1 - sv) / (sv - 1) + x ** (-sv) / 2
@@ -258,8 +259,8 @@ def lerch_phi(
     evaluates at a cost set by the distance of alpha from 0, not by its
     denominator (even zeta(s) keeps its closed form).  Any other s, such
     as a substituted complex z, is computed as q^{-s} * sum_{a=1}^{q}
-    e(a p/q) zeta(s, a/q) with q the reduced denominator; trivial color is
-    plain zeta.
+    e(a p/q) zeta(s, a/q) with q the reduced denominator, whose q head
+    sums share one budget (hurwitz_zeta); trivial color is plain zeta.
     """
     alpha = Fraction(alpha) % 1
     if isinstance(s, int) and s >= 2:
@@ -271,7 +272,7 @@ def lerch_phi(
     ctx, sv = _in_context(s, prec)
     total, bound = ctx.mpc(0), 0.0
     for r in range(1, q + 1):
-        hz = hurwitz_zeta(sv, Fraction(r, q), cfg)
+        hz = hurwitz_zeta(sv, Fraction(r, q), cfg, calls=q)
         hv = ctx.mpc(hz.value)
         total += ctx.make_mpc(_e_of(alpha * r, prec)) * hv
         bound += hz.bound + float(abs(hv)) * 4 * _eps(prec)
@@ -514,8 +515,6 @@ def mzv_eval(
     if exps[0] < 2:
         raise ValueError(f"leading exponent must be >= 2 for evaluation, got {exps}")
     if len(exps) == 1:
-        if cols[0] == 0:
-            return zeta_int(exps[0], cfg)
         return lerch_phi(exps[0], cols[0], cfg)
     return _mzv_split(exps, cols, cfg)
 
@@ -712,20 +711,15 @@ def mt_direct(
 
 def _conjugate_twin(a: Atom) -> Atom | None:
     """The atom with every color negated, whose value is the complex
-    conjugate of a's, for a Lerch, MZV or MT atom with int exponents; None
-    for any other atom or when every color is 0 or 1/2 (its own negative)."""
-    if isinstance(a, Lerch):
-        exps, colors = (a.exp,), (a.color,)
-    elif isinstance(a, (MZValue, MTValue)):
-        exps, colors = a.exps, a.colors
-    else:
+    conjugate of a's, for an MZV (phi at depth 1) or MT atom with int
+    exponents; None for EvenZeta or when every color is 0 or 1/2 (its own
+    negative)."""
+    if isinstance(a, EvenZeta) or all(c.denominator <= 2 for c in a.colors):
         return None
-    if all(c.denominator <= 2 for c in colors) or not all(isinstance(e.const, int) for e in exps):
+    if not all(isinstance(e.const, int) for e in a.exps):
         return None
-    neg = [-c for c in colors]
-    if isinstance(a, Lerch):
-        return lerch(a.exp, neg[0])
-    return (mzv if isinstance(a, MZValue) else mt_value)(exps, neg)
+    neg = [-c for c in a.colors]
+    return (mzv if isinstance(a, MZValue) else mt_value)(a.exps, neg)
 
 
 # 4,096 entries: one colored-characters case list fills 715
@@ -744,10 +738,10 @@ def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
             re, im = r.value._mpc_
             return EvalResult(mp.make_mpc((re, libmp.mpf_neg(im))), r.bound)
         return r
-    if isinstance(a, Lerch):
-        return lerch_phi(a.exp.const, a.color, cfg)
     if isinstance(a, MZValue):
         exps = tuple(e.const for e in a.exps)
+        if len(exps) == 1:
+            return lerch_phi(exps[0], a.colors[0], cfg)
         if not all(isinstance(e, int) for e in exps):
             raise ValueError(f"MZV evaluation needs integer exponents: {a}")
         return mzv_eval(exps, a.colors, cfg)

@@ -5,18 +5,18 @@ Atoms
 -----
 * ``EvenZeta(n)``: zeta at an even integer n >= 0 (kept symbolic; n = 0 is
   legal and evaluates to -1/2).
-* ``Lerch(e, color)``: sum over m >= 1 of e(color*m)/m^e (periodic zeta).
-  The trivial-color even-integer form is not a ``Lerch``: it is
-  ``EvenZeta``, and the constructor rejects it.
 * ``MTValue(exps, colors)``: a Mordell-Tornheim value of depth >= 2; the
   last slot is the total-sum slot.  The first-depth slots are sorted, since
   the underlying series is symmetric under permuting them jointly with
-  their colors.  Depth-1 input collapses to ``Lerch``.
+  their colors.  Depth-1 input collapses to a depth-1 ``MZValue``.
 * ``MZValue(exps, colors)``: a (colored) multiple zeta value; slots are
-  ordered leading-first and never sorted.
+  ordered leading-first and never sorted.  Depth 1 is the periodic zeta
+  phi(e; color) = sum over m >= 1 of e(color*m)/m^e, printed ``phi(e; c)``
+  and serialized as type "lerch".  Its trivial-color even-integer form is
+  ``EvenZeta``, and the constructor rejects it.
 
-Build atoms with ``lerch``, ``mt_value`` and ``mzv``: they canonicalize
-colors, sort MT slots and collapse low depths.
+Build atoms with ``lerch`` (phi), ``mt_value`` and ``mzv``: they
+canonicalize colors, sort MT slots and collapse low depths.
 
 Colors are rationals reduced mod 1; color 0 is the trivial phase.
 Exponents are affine in z with z-coefficient 0 or 1; a product term may
@@ -43,7 +43,6 @@ from typing import Any, Iterable, Iterator, Sequence, Union
 __all__ = [
     "AffineExp",
     "EvenZeta",
-    "Lerch",
     "MTValue",
     "MZValue",
     "Expr",
@@ -136,22 +135,6 @@ class EvenZeta:
 
 
 @dataclass(frozen=True)
-class Lerch:
-    exp: AffineExp
-    color: Fraction
-
-    def __post_init__(self) -> None:
-        if self.color == 0 and _even_integer(self.exp):
-            raise ValueError(f"trivial-color Lerch at {self.exp} is EvenZeta")
-
-    def key(self) -> tuple:
-        return (2, self.exp.key(), self.color)
-
-    def __str__(self) -> str:
-        return f"phi({self.exp}; {self.color})"
-
-
-@dataclass(frozen=True)
 class MTValue:
     exps: tuple[AffineExp, ...]
     colors: tuple[Fraction, ...]
@@ -179,6 +162,10 @@ class MZValue:
     exps: tuple[AffineExp, ...]
     colors: tuple[Fraction, ...]
 
+    def __post_init__(self) -> None:
+        if len(self.exps) == 1 and not self.colors[0] and _even_integer(self.exps[0]):
+            raise ValueError(f"trivial-color phi at {self.exps[0]} is EvenZeta")
+
     def key(self) -> tuple:
         return (
             3,
@@ -194,18 +181,14 @@ class MZValue:
     def __str__(self) -> str:
         args = ",".join(str(e) for e in self.exps)
         cols = ",".join(str(c) for c in self.colors)
-        return f"mzv({args}; {cols})"
+        return f"phi({args}; {cols})" if len(self.exps) == 1 else f"mzv({args}; {cols})"
 
 
-Atom = Union[EvenZeta, Lerch, MTValue, MZValue]
+Atom = Union[EvenZeta, MTValue, MZValue]
 
 
 def atom_has_z(a: Atom) -> bool:
-    if isinstance(a, Lerch):
-        return a.exp.has_z
-    if isinstance(a, (MTValue, MZValue)):
-        return any(e.has_z for e in a.exps)
-    return False
+    return not isinstance(a, EvenZeta) and any(e.has_z for e in a.exps)
 
 
 def _even_integer(e: AffineExp) -> bool:
@@ -213,18 +196,19 @@ def _even_integer(e: AffineExp) -> bool:
 
 
 def lerch(exp: Union[int, AffineExp], color: Union[int, Fraction]) -> Atom:
-    """Lerch atom; trivial-color even-integer exponents canonicalize."""
+    """phi(exp; color), the depth-1 MZV; trivial-color even-integer
+    exponents canonicalize to EvenZeta."""
     e = as_exp(exp)
     c = _canon_color(color)
     if c == 0 and _even_integer(e):
         return EvenZeta(e.const)
-    return Lerch(e, c)
+    return MZValue((e,), (c,))
 
 
 def mt_value(
     exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
-    """MT atom with slot canonicalization; depth 1 collapses to Lerch."""
+    """MT atom with slot canonicalization; depth 1 collapses to lerch."""
     es = tuple(as_exp(e) for e in exps)
     cs = tuple(_canon_color(c) for c in colors)
     if len(es) != len(cs):
@@ -244,7 +228,7 @@ def mt_value(
 def mzv(
     exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
-    """Colored MZV atom; depth 1 collapses to Lerch."""
+    """Colored MZV atom; depth 1 goes through lerch."""
     es = tuple(as_exp(e) for e in exps)
     cs = tuple(_canon_color(c) for c in colors)
     if len(es) != len(cs):
@@ -374,12 +358,13 @@ class Expr:
 
 
 def _substitute_atom(a: Atom, z0: Any) -> Atom:
-    """A Lerch may become EvenZeta; MT head slots are not re-sorted."""
+    """A depth-1 value may become EvenZeta; MT head slots are not re-sorted."""
     if not atom_has_z(a):
         return a
-    if isinstance(a, Lerch):
-        return lerch(a.exp.substitute(z0), a.color)
-    return type(a)(tuple(e.substitute(z0) for e in a.exps), a.colors)
+    exps = tuple(e.substitute(z0) for e in a.exps)
+    if len(exps) == 1:  # an MT value has three slots or more
+        return lerch(exps[0], a.colors[0])
+    return type(a)(exps, a.colors)
 
 
 def _term_sort_key(atoms: TermKey) -> tuple:
@@ -407,8 +392,8 @@ def _exp_from_json(v: Any) -> AffineExp:
 def atom_to_json(a: Atom) -> dict:
     if isinstance(a, EvenZeta):
         return {"type": "even_zeta", "n": a.n}
-    if isinstance(a, Lerch):
-        return {"type": "lerch", "exp": _exp_json(a.exp), "color": _frac_str(a.color)}
+    if isinstance(a, MZValue) and len(a.exps) == 1:
+        return {"type": "lerch", "exp": _exp_json(a.exps[0]), "color": _frac_str(a.colors[0])}
     if isinstance(a, MTValue):
         return {
             "type": "mt",

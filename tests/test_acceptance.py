@@ -24,9 +24,9 @@ from mtzeta.numerics import (
     eval_expr,
     even_zeta,
     hurwitz_zeta,
+    lerch_phi,
     mt_via_mzv,
     mzv_eval,
-    zeta_int,
 )
 from mtzeta.partitions import PartitionKind, enumerate_partitions
 from mtzeta.reduction import (
@@ -151,7 +151,7 @@ def test_criterion_05_mordell_values():
     detail = []
     for k in (2, 3, 4):
         got = mt_via_mzv((1,) * (k + 1), cfg=CFG)
-        z = zeta_int(k + 1, CFG)
+        z = lerch_phi(k + 1, Fraction(0), CFG)
         with mp.workprec(280):
             err = _mag(mpc(got.value) - math.factorial(k) * mpc(z.value))
         ok = ok and err <= 1e-10 and err <= got.bound + math.factorial(k) * z.bound
@@ -279,7 +279,7 @@ def test_criterion_10_strong_reducibility():
     lhs1, rhs1 = strong_reduction_pair(1)
     lv1 = eval_expr(lhs1, cfg=CFG)
     rv1 = eval_expr(rhs1, cfg=CFG)
-    z5 = zeta_int(5, CFG)
+    z5 = lerch_phi(5, Fraction(0), CFG)
     with mp.workprec(280):
         target = 72 * mpc(z5.value)
         e_l = _mag(mpc(lv1.value) - target)
@@ -334,12 +334,12 @@ def test_criterion_12_bound_soundness():
             checks.append(_mag(mpc(a.value) - mpc(b.value)) <= a.bound + b.bound)
         # Euler identity
         a = mzv_eval((2, 1), cfg=CFG)
-        b = zeta_int(3, CFG)
+        b = lerch_phi(3, Fraction(0), CFG)
         checks.append(_mag(mpc(a.value) - mpc(b.value)) <= a.bound + b.bound)
         # Mordell
         for k in (2, 3, 4):
             got = mt_via_mzv((1,) * (k + 1), cfg=CFG)
-            z = zeta_int(k + 1, CFG)
+            z = lerch_phi(k + 1, Fraction(0), CFG)
             checks.append(
                 _mag(mpc(got.value) - math.factorial(k) * mpc(z.value))
                 <= got.bound + math.factorial(k) * z.bound
@@ -359,7 +359,7 @@ def test_criterion_12_bound_soundness():
         # 72 zeta(5)
         lhs1, rhs1 = strong_reduction_pair(1)
         lv = eval_expr(lhs1, cfg=CFG)
-        z5 = zeta_int(5, CFG)
+        z5 = lerch_phi(5, Fraction(0), CFG)
         checks.append(_mag(mpc(lv.value) - 72 * mpc(z5.value)) <= lv.bound + 72 * z5.bound)
     _report(
         12,

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,6 +122,55 @@ def test_reduce_budget_stops_high_weight_quickly():
     rc, out, err = run_cli("reduce", "--s", "1000,1000,1000", timeout=60)
     assert rc == 2 and not out, err
     assert "budget" in err and "Traceback" not in err
+
+
+def test_hurwitz_budget_stops_quickly():
+    # the q Euler-Maclaurin heads of one phi(s; p/q), or the one head of a
+    # large |s|, share a budget: without it these run for over 100 s and 13 s
+    for argv in (["--z", "2+1000000i"], ["--z", "2.5", "--alpha", "1/5000"]):
+        rc, out, err = run_cli("eval", "--s", "2", *argv, timeout=30)
+        assert rc == 2 and not out, err
+        assert "budget" in err and "Traceback" not in err
+
+
+def test_bern_expand_budget_refuses_before_any_expansion(monkeypatch, capsys):
+    # ten twos make 4^10 (subset, index) pairs, 40 s of work without the
+    # budget; no expansion starts, the naive oracle included
+    from mtzeta import cli
+
+    def refuse(*_):
+        raise AssertionError("expansion started")
+
+    monkeypatch.setattr(cli, "naive_product", refuse)
+    monkeypatch.setattr(cli, "expand_by_partitions", refuse)
+    assert main(["bern-expand", "--s", ",".join(["2"] * 10)]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
+def test_partitions_budget(capsys):
+    # 26 ones have F_25 = 75,025 fat partitions, refused before the list is
+    # built; 18 ones print what they always printed
+    start = time.perf_counter()
+    assert main(["partitions", "--s", ",".join(["1"] * 26)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "budget" in capsys.readouterr().err
+    for kind, want in (
+        ("fat", "6031c72a8a0bb76a592d7a840ece3b351e459946b131a967beed79f0c4a13ed2"),
+        ("pre-fat", "475d395c0991f281f63cd0e3fe2c580b9b9a74f700a1b638b2ad18ae172c2387"),
+    ):
+        assert main(["partitions", "--s", ",".join(["1"] * 18), "--kind", kind]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want, kind
+
+
+def test_outputs_match_recorded_digests(capsys):
+    # the benchmark's recorded sha256 of every depth-2 and depth-3 reduce
+    # and of convert 1,2,3,4,5: the symbolic output is byte-identical
+    recorded = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+    ids = [k for k in recorded if k.startswith("reduce ") and len(k.split()[2].split(",")) in (2, 3)]
+    assert len(ids) == 9 + 27
+    for case in ids + ["convert --s 1,2,3,4,5"]:
+        assert main(case.split()) == 0, case
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded[case], case
 
 
 def test_convert_budget_bounds_memory_at_depth_60():

@@ -20,7 +20,6 @@ from mtzeta.numerics import (
     mt_direct,
     mt_via_mzv,
     mzv_eval,
-    zeta_int,
 )
 from mtzeta.symexpr import EvenZeta, Expr, Z, lerch, mzv
 
@@ -98,14 +97,14 @@ def test_lerch_root_of_unity_sum():
             r = lerch_phi(s, Fraction(a, q))
             total += mp.mpc(r.value)
             bound += r.bound
-        z = zeta_int(s)
+        z = lerch_phi(s, Fraction(0))
         lhs = float(abs(total - mp.mpf(q) ** (1 - s) * mp.mpc(z.value)))
     assert lhs <= bound + z.bound + 1e-70
 
 
 def test_mzv_euler_identity():
     a = mzv_eval((2, 1))
-    b = zeta_int(3)
+    b = lerch_phi(3, Fraction(0))
     assert float(abs(mp.mpc(a.value) - mp.mpc(b.value))) <= a.bound + b.bound
 
 
@@ -147,7 +146,7 @@ def test_colored_mzv_against_brute_force():
 def test_mordell_values():
     for k in (2, 3, 4):
         got = mt_via_mzv((1,) * (k + 1))
-        target = math.factorial(k) * mp.mpc(zeta_int(k + 1).value)
+        target = math.factorial(k) * mp.mpc(lerch_phi(k + 1, Fraction(0)).value)
         assert float(abs(mp.mpc(got.value) - target)) <= got.bound + 1e-60
 
 
@@ -534,7 +533,7 @@ def test_precision_ceiling_keeps_bounds_normal():
         EvalConfig(precision_bits=_MAX_PRECISION_BITS + 1)
     cfg = EvalConfig(precision_bits=_MAX_PRECISION_BITS)
     _, li_bound = _li_half((0, 1, 1, 0, 0, 1), _MAX_PRECISION_BITS + _GUARD_BITS)
-    for bound in (li_bound, mzv_eval((3, 2, 1), cfg=cfg).bound, zeta_int(3, cfg).bound):
+    for bound in (li_bound, mzv_eval((3, 2, 1), cfg=cfg).bound, lerch_phi(3, Fraction(0), cfg).bound):
         assert bound >= sys.float_info.min
 
 
@@ -684,7 +683,7 @@ def test_integer_depth1_skips_hurwitz(monkeypatch, capsys):
     monkeypatch.setattr(num, "hurwitz_zeta", refuse)
     num._eval_atom.cache_clear()
     lerch_phi(3, Fraction(1, 7))
-    zeta_int(5)
+    lerch_phi(5, Fraction(0))
     assert main(["verify", "--s", "2,3", "--chi", "7,3", "--z", "2", "--precision-bits", "128"]) == 0
     assert '"pass": true' in capsys.readouterr().out
 

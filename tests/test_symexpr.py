@@ -8,8 +8,8 @@ from mtzeta.symexpr import (
     AffineExp,
     EvenZeta,
     Expr,
-    Lerch,
     MTValue,
+    MZValue,
     Z,
     atom_has_z,
     expr_from_json,
@@ -55,7 +55,7 @@ def test_two_z_atoms_rejected():
 
 def test_mt_depth1_collapses_to_lerch():
     a = mt_value((2, 3), (Fraction(1, 3), Fraction(1, 2)))
-    assert a == Lerch(AffineExp(5), Fraction(5, 6))
+    assert a == MZValue((AffineExp(5),), (Fraction(5, 6),))
     trivial = mt_value((2, 2), (0, 0))
     assert trivial == EvenZeta(4)
 
@@ -101,7 +101,7 @@ def test_substitute_domain():
 def test_substitute_odd_integer_stays_numeric_request():
     e = Expr.atom(lerch(Z.shift(2), 0)).substitute(3)
     ((atoms, _),) = list(e.items())
-    assert atoms[0] == Lerch(AffineExp(5), Fraction(0))
+    assert atoms[0] == MZValue((AffineExp(5),), (Fraction(0),))
 
 
 def test_substitute_mixed_slots_sort_and_evaluate():
@@ -120,10 +120,48 @@ def test_substitute_mixed_slots_sort_and_evaluate():
 
 def test_lerch_rejects_even_zeta_form():
     with pytest.raises(ValueError, match="EvenZeta"):
-        Lerch(AffineExp(4), Fraction(0))
+        MZValue((AffineExp(4),), (Fraction(0),))
     assert lerch(4, 0) == EvenZeta(4)
-    Lerch(AffineExp(4), Fraction(1, 2))  # colored: a genuine Lerch value
-    Lerch(AffineExp(5), Fraction(0))  # odd: zeta(5) stays a Lerch atom
+    MZValue((AffineExp(4),), (Fraction(1, 2),))  # colored: a genuine phi value
+    MZValue((AffineExp(5),), (Fraction(0),))  # odd: zeta(5) stays a depth-1 MZV
+
+
+def _four_class_key(a):
+    """The sort key of the scheme in which phi was a class of its own, tagged
+    2 between EvenZeta (0), MZVs (3) and MT values (4)."""
+    if isinstance(a, EvenZeta):
+        return (0, a.n)
+    exps = tuple(e.key() for e in a.exps)
+    if isinstance(a, MZValue) and len(exps) == 1:
+        return (2, exps[0], a.colors[0])
+    return (3 if isinstance(a, MZValue) else 4, len(exps), exps, a.colors)
+
+
+_colors = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 4)])
+_exps = st.one_of(st.integers(1, 7), st.integers(0, 4).map(Z.shift))
+
+
+@st.composite
+def _any_atom(draw):
+    kind = draw(st.sampled_from(["even", "mzv", "lerch", "mt"]))
+    if kind == "even":
+        return EvenZeta(2 * draw(st.integers(0, 4)))
+    if kind == "lerch":
+        return lerch(draw(_exps), draw(_colors))
+    depth = draw(st.integers(1, 3) if kind == "mzv" else st.integers(2, 3))
+    slots = depth + (kind == "mt")
+    exps = draw(st.lists(st.integers(1, 5), min_size=slots, max_size=slots))
+    if draw(st.booleans()):
+        exps[draw(st.integers(0, slots - 1))] = Z.shift(draw(st.integers(0, 3)))
+    colors = draw(st.lists(_colors, min_size=slots, max_size=slots))
+    return (mzv if kind == "mzv" else mt_value)(exps, colors)
+
+
+@given(st.lists(_any_atom(), max_size=12))
+def test_canonical_order_unchanged_by_phi_fold(atoms):
+    # phi is the depth-1 MZValue, keyed (3, 1, ...): the canonical order, and
+    # with it every printed expression, is the one of the four-class scheme
+    assert sorted(atoms, key=lambda a: a.key()) == sorted(atoms, key=_four_class_key)
 
 
 atoms_strategy = st.sampled_from(
