@@ -329,11 +329,10 @@ def _cmd_verify(args) -> int:
     z0 = _z_value(args)
     if args.chi:
         chi = _resolve_character(args.chi)
-        fam = character_identities(_parse_ints(args.s), chi, cfg)
+        # a non-coprime n has weight exactly 0: its member is not built
+        fam = character_identities(_parse_ints(args.s), chi, cfg, coprime_only=True)
         total, bound = (libmp.fzero, libmp.fzero), 0.0
         for w, ident in fam:
-            if w.value == 0 and w.bound == 0:  # non-coprime n: adds exactly 0
-                continue
             r = ident.residual(z0, cfg)
             wv, rv = _parts(w.value, _VERIFY_BITS), _parts(r.value, _VERIFY_BITS)
             total = libmp.mpc_add(total, libmp.mpc_mul(wv, rv, _VERIFY_BITS, _RND), _VERIFY_BITS, _RND)

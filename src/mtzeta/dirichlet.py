@@ -290,11 +290,14 @@ def character_identities(
     s: Sequence[int],
     chi: DirichletCharacter,
     cfg: EvalConfig = DEFAULT_CONFIG,
+    *,
+    coprime_only: bool = False,
 ) -> list[tuple[EvalResult, Identity]]:
     """The character-level cyclic-sum identity as a weighted family: for
     n = 1..f the weight conj(chi)(n)/tau(conj(chi)) paired with the
     color-n/f identity.  Their weighted sum is the character identity;
-    non-coprime n carry weight zero."""
+    non-coprime n carry weight exactly zero, and with ``coprime_only``
+    their identities are not built and the family leaves them out."""
     if not chi.primitive:
         raise ValueError("character must be primitive")
     f = chi.modulus
@@ -302,12 +305,13 @@ def character_identities(
     prec = cfg.precision_bits + _GUARD_BITS
     out = []
     for n in range(1, f + 1):
-        ident = cyclic_sum_identity(s, Fraction(n, f))
         a = chi.angle(n)
         if a is None:
+            if coprime_only:
+                continue
             w = EvalResult(mpc(0), 0.0)
         else:
             wv = libmp.mpc_div(_e_of((-a) % 1, prec), _parts(tau.value, prec), prec, _RND)
             w = EvalResult(mp.make_mpc(wv), _mag(wv, prec) * (_inverse_error(tau, prec) + 8 * _eps(prec)))
-        out.append((w, ident))
+        out.append((w, cyclic_sum_identity(s, Fraction(n, f))))
     return out

@@ -13,8 +13,10 @@ Evaluation routes:
 * Riemann/Hurwitz zeta by Euler-Maclaurin with the explicit remainder,
   for Re(s) > 1 (absolute convergence; nothing is continued analytically);
 * phi (periodic zeta, the depth-1 MZV) at rational color p/q and a
-  non-integer exponent (a substituted complex z) via the q-term Hurwitz
-  sum;
+  non-integer exponent (a substituted complex z), trivial color included:
+  the head n <= qM in fixed point, one libmp power per prime and one
+  product per composite, then q Euler-Maclaurin tails zeta(s, M + r/q),
+  one per residue class, from one coefficient table (periodic.phi_em);
 * MZVs of every depth and color with integer exponents, the depth-1 values
   (phi at integers and odd zeta(n)) included, by splitting the iterated
   integral at 1/p into products of geometrically convergent nested sums,
@@ -30,9 +32,9 @@ exact conjugate and the same bound.  The CLI's ``eval`` with one head slot
 and a non-integer z is phi(s_1 + z), which takes lerch_phi, not mt_direct.
 
 Every value is computed at an explicit precision (libmp calls on raw
-tuples, fixed point, float64, or a private mpmath context built for the
-call): mpmath's global precision is never read or set, so no result
-depends on the caller's mp.prec and no kernel takes a lock.
+tuples, fixed point, float64, or in hurwitz_zeta a private mpmath context
+built for the call): mpmath's global precision is never read or set, so no
+result depends on the caller's mp.prec and no kernel takes a lock.
 """
 
 from __future__ import annotations
@@ -74,9 +76,11 @@ _GUARD_BITS = 16
 _LI_GUARD_BITS = 48
 # Term budget of the truncated-sum routes (split factors, direct MT sums).
 _MAX_TERMS = 4_000_000
-# Budget of Euler-Maclaurin head terms, one mpmath complex power each, of
-# one hurwitz_zeta call or of the q calls of one lerch_phi: 5 to 8 s on one
-# x86-64 core at 64 to 256 bits.  phi(4.5; 1/500) needs 500 x 90 at 256.
+# Budget of Euler-Maclaurin head terms: the M of one hurwitz_zeta call, one
+# mpmath complex power each, 5 to 8 s on one x86-64 core at 64 to 256 bits;
+# or the qM of one phi at a non-integer exponent (periodic.phi_em), mostly
+# fixed-point products, 0.4 to 0.8 s at 64 to 256 bits and 2.8 s at 958.
+# phi(4.5; 1/500) needs 500 x 90 at 256.
 _MAX_HEAD_TERMS = 1 << 16
 # Largest precision_bits whose bound terms stay normal floats.  The
 # smallest scale any bound term carries is the ulp 2^-F of _li_half, with
@@ -176,16 +180,13 @@ def even_zeta(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
 # Hurwitz zeta by Euler-Maclaurin
 
 
-def hurwitz_zeta(
-    s: Any, a: Fraction = Fraction(1), cfg: EvalConfig = DEFAULT_CONFIG, *, calls: int = 1
-) -> EvalResult:
+def hurwitz_zeta(s: Any, a: Fraction = Fraction(1), cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     """zeta(s, a) = sum_{j>=0} (j+a)^{-s} for Re(s) > 1, 0 < a <= 1.
 
     Euler-Maclaurin with the classical remainder control: after the B_{2R}
     correction term, the error is at most the first omitted term times
-    |s+2R+1|/(Re(s)+2R+1).  The M head terms, times the ``calls`` sums of
-    this size the caller makes, must stay within _MAX_HEAD_TERMS, or it
-    raises ValueError before the head is summed.
+    |s+2R+1|/(Re(s)+2R+1).  The M head terms must stay within
+    _MAX_HEAD_TERMS, or it raises ValueError before the head is summed.
 
     The rising factorial (s)_(2r-1) of correction r is the previous one
     times (s+2r-3)(s+2r-2): two additions and two complex products, each
@@ -215,10 +216,8 @@ def hurwitz_zeta(
     ratio = abs(ctx.mpf(b_next.numerator) / b_next.denominator) / ctx.factorial(2 * R + 2)
     ratio *= abs(ctx.rf(sv, 2 * R + 1))
     while True:
-        if calls * M > _MAX_HEAD_TERMS:
-            raise ValueError(
-                f"Hurwitz zeta at s = {complex(sv)} needs {calls} x {M} head terms, over the budget of {_MAX_HEAD_TERMS}"
-            )
+        if M > _MAX_HEAD_TERMS:
+            raise ValueError(f"Hurwitz zeta at s = {complex(sv)} needs {M} head terms, over the budget of {_MAX_HEAD_TERMS}")
         x = M + av
         t_next = ratio * x ** ctx.mpf(-sig - 2 * R - 1)
         rem = float(t_next * abs(sv + 2 * R + 1) / (sig + 2 * R + 1))
@@ -258,28 +257,16 @@ def lerch_phi(
     An int s >= 2 makes the depth-1 MZV zeta(s; alpha), which _mzv_split
     evaluates at a cost set by the distance of alpha from 0, not by its
     denominator (even zeta(s) keeps its closed form).  Any other s, such
-    as a substituted complex z, is computed as q^{-s} * sum_{a=1}^{q}
-    e(a p/q) zeta(s, a/q) with q the reduced denominator, whose q head
-    sums share one budget (hurwitz_zeta); trivial color is plain zeta.
+    as a substituted complex z, takes periodic.phi_em: with q the reduced
+    denominator (1 for trivial color), the head n <= qM in fixed point,
+    then q Euler-Maclaurin tails zeta(s, M + r/q), one per residue class.
     """
     alpha = Fraction(alpha) % 1
     if isinstance(s, int) and s >= 2:
         return even_zeta(s, cfg) if alpha == 0 and s % 2 == 0 else _mzv_split((s,), (alpha,), cfg)
-    if alpha == 0:
-        return hurwitz_zeta(s, Fraction(1), cfg)
-    prec = cfg.precision_bits + _GUARD_BITS
-    q = alpha.denominator
-    ctx, sv = _in_context(s, prec)
-    total, bound = ctx.mpc(0), 0.0
-    for r in range(1, q + 1):
-        hz = hurwitz_zeta(sv, Fraction(r, q), cfg, calls=q)
-        hv = ctx.mpc(hz.value)
-        total += ctx.make_mpc(_e_of(alpha * r, prec)) * hv
-        bound += hz.bound + float(abs(hv)) * 4 * _eps(prec)
-    scale = q ** (-sv)
-    value = scale * total
-    smag = float(abs(scale))
-    return EvalResult(mp.make_mpc(value._mpc_), smag * bound + float(abs(value)) * (q + 8) * _eps(prec))
+    from .periodic import phi_em  # loaded on first use (see periodic)
+
+    return phi_em(s, alpha, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -777,12 +764,13 @@ def eval_expr(
 
     prec = cfg.precision_bits + _GUARD_BITS
     vals = {a: _parts(r.value, prec) for a, r in results.items()}
+    mags = {a: _mag(v, prec) for a, v in vals.items()}
     total, bound = (libmp.fzero, libmp.fzero), 0.0
     for atoms, coeff in terms:
         tv, tb = (libmp.fone, libmp.fzero), 0.0
         for a in atoms:
             rb = results[a].bound
-            tb = _mag(tv, prec) * rb + _mag(vals[a], prec) * tb + tb * rb
+            tb = _mag(tv, prec) * rb + mags[a] * tb + tb * rb
             tv = libmp.mpc_mul(tv, vals[a], prec, _RND)
         num, den = (libmp.from_int(x, prec, _RND) for x in (coeff.numerator, coeff.denominator))
         tv = libmp.mpc_div_mpf(libmp.mpc_mul_mpf(tv, num, prec, _RND), den, prec, _RND)

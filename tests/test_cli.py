@@ -133,6 +133,30 @@ def test_hurwitz_budget_stops_quickly():
         assert "budget" in err and "Traceback" not in err
 
 
+def test_fine_color_phi_time_and_memory():
+    # phi(4.5; 1/500) sums 45,000 head terms; the power table keeps only the
+    # cofactors n <= qM/2 in fixed point, so the peak stays near the import's
+    src = str(Path(mtzeta.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, json, sys\n"
+        "def hwm():\n"
+        "    return next(int(l.split()[1]) for l in open('/proc/self/status') if l.startswith('VmHWM'))\n"
+        "from mtzeta.cli import main\n"
+        "before, out = hwm(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    rc = main(['eval', '--s', '2', '--z', '2.5', '--alpha', '1/500'])\n"
+        "print(json.dumps({'rc': rc, 'kb': hwm() - before, 'out': json.loads(out.getvalue())}))\n"
+    )
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": path}
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["rc"] == 0 and got["kb"] <= 10 * 1024, got["kb"]
+    assert got["out"]["value_re"].startswith("1.0546016321397716161363") and got["out"]["bound"] <= 4.4e-79
+
+
 def test_bern_expand_budget_refuses_before_any_expansion(monkeypatch, capsys):
     # ten twos make 4^10 (subset, index) pairs, 40 s of work without the
     # budget; no expansion starts, the naive oracle included

@@ -183,3 +183,26 @@ def test_character_identities_modulus_one():
     ((w, ident),) = character_identities((2, 2), chi)
     assert complex(w.value) == 1
     assert ident.alpha == 0
+
+
+def test_verify_chi_builds_only_coprime_members(monkeypatch, capsys):
+    # a non-coprime n has weight exactly 0: verify --chi builds no identity
+    # for it, while reduce --chi still prints the whole family
+    from mtzeta import dirichlet
+    from mtzeta.cli import main
+
+    built = []
+    build = dirichlet.cyclic_sum_identity
+
+    def recording(s, alpha):
+        built.append(alpha)
+        return build(s, alpha)
+
+    monkeypatch.setattr(dirichlet, "cyclic_sum_identity", recording)
+    argv = ["--s", "2,2", "--chi", "8,3", "--precision-bits", "128"]
+    assert main(["verify", *argv, "--z", "2", "--tol", "1e-6"]) == 0
+    assert built == [Fraction(n, 8) for n in (1, 3, 5, 7)]
+    built.clear()
+    assert main(["reduce", *argv]) == 0
+    assert built == [Fraction(n, 8) for n in range(1, 9)]
+    capsys.readouterr()

@@ -613,7 +613,7 @@ def _lerch_hurwitz(s, alpha, cfg=CFG):
             bound += hz.bound + float(abs(mp.mpc(hz.value))) * 4 * _eps(prec)
         scale = mp.mpf(q) ** -s
         value = scale * total
-        return EvalResult(value, float(scale) * bound + float(abs(value)) * (q + 8) * _eps(prec))
+        return EvalResult(value, float(abs(scale)) * bound + float(abs(value)) * (q + 8) * _eps(prec))
 
 
 def test_integer_lerch_matches_hurwitz_sum():
@@ -849,6 +849,65 @@ def test_hurwitz_complex_exponent_against_mpmath():
             s = mp.mpc(3.5, 2)
             terms = (mp.expjpi(mp.mpf(4 * r) / 5) * mp.zeta(s, mp.mpf(r) / 5) for r in range(1, 6))
             assert_close(phi, mp.fsum(terms) * mp.mpf(5) ** -s)
+
+
+@st.composite
+def _phi_points(draw):
+    # Re s in (1.2, 10], |Im s| <= 20, colors p/q with q <= 12 (q = 1 too)
+    sig = draw(st.floats(min_value=1.2, max_value=10, exclude_min=True))
+    s = complex(sig, draw(st.floats(min_value=-20, max_value=20)))
+    q = draw(st.integers(min_value=1, max_value=12))
+    return s, Fraction(draw(st.integers(min_value=0, max_value=q - 1)), q)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_phi_points(), st.sampled_from([64, 128, 192]))
+def test_phi_em_bound_sound(point, bits):
+    # phi at a complex exponent lies within its bound of q^-s sum_r e(r p/q)
+    # zeta(s, r/q) from mpmath at 2 bits + 64, its bound is no looser than
+    # the q-term Hurwitz sum it replaced, and the two agree within both
+    s, alpha = point
+    assert 1.2 < s.real <= 10 and abs(s.imag) <= 20 and alpha.denominator <= 12
+    cfg = EvalConfig(precision_bits=bits)
+    new, old = lerch_phi(s, alpha, cfg), _lerch_hurwitz(s, alpha, cfg)
+    q = alpha.denominator
+    with mp.workprec(2 * bits + 64):
+        sv = mp.mpc(s)
+        terms = (mp.expjpi(mp.mpf(2 * alpha.numerator * r) / q) * mp.zeta(sv, mp.mpf(r) / q) for r in range(1, q + 1))
+        ref = mp.fsum(terms) * mp.mpf(q) ** -sv
+        v = mp.mpc(new.value)
+        assert float(abs(v - ref)) <= new.bound, point
+        assert float(abs(v - mp.mpc(old.value))) <= new.bound + old.bound, point
+    assert new.bound <= old.bound, (point, new.bound, old.bound)
+
+
+def test_phi_em_work(monkeypatch):
+    # one phi at a complex exponent builds no mpmath context and takes one
+    # complex power per prime up to qM and one per tail, q of them
+    import mtzeta.numerics as num
+    from mtzeta.periodic import _phi_terms
+
+    def refuse(*args):
+        raise AssertionError("an MPContext was built")
+
+    powers = []
+    mpc_exp = libmp.mpc_exp
+
+    def counting(z, prec, *rest):
+        powers.append(z)
+        return mpc_exp(z, prec, *rest)
+
+    monkeypatch.setattr(num, "MPContext", refuse)
+    monkeypatch.setattr(libmp, "mpc_exp", counting)
+    s, alpha, cfg = 3.5 + 2j, Fraction(2, 5), num.DEFAULT_CONFIG
+    M, _, _ = _phi_terms(s, 5, cfg.precision_bits + num._GUARD_BITS, cfg.target_tol)
+    got = lerch_phi(s, alpha, cfg)
+    primes = sum(all(n % d for d in range(2, math.isqrt(n) + 1)) for n in range(2, 5 * M + 1))
+    assert 0 < len(powers) <= primes + 5 + 2, (len(powers), primes, M)
+    monkeypatch.undo()
+    ref = _lerch_hurwitz(s, alpha, cfg)
+    with mp.workprec(600):
+        assert float(abs(mp.mpc(got.value) - mp.mpc(ref.value))) <= got.bound + ref.bound
 
 
 # sha256 of the (value, bound) pairs of a fixed grid, recorded before the
