@@ -59,14 +59,6 @@ class BernCombo:
                 cleaned[m] = Fraction(c)
         return BernCombo(dict(sorted(cleaned.items())), const)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BernCombo):
-            return NotImplemented
-        return dict(self.terms) == dict(other.terms) and self.constant == other.constant
-
-    def __hash__(self) -> int:
-        return hash((tuple(sorted(self.terms.items())), self.constant))
-
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
     out = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -243,7 +235,7 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
         q = len(parts)
         for assignment in index_assignments(P, PartitionKind.PRE_FAT):
             coeff = Fraction(1)
-            for part, r in zip(parts[:-1], assignment.parts[:-1]):
+            for part, r in zip(parts[:-1], assignment[:-1]):
                 coeff *= _index_weight_factor(part, r)
                 if not coeff:
                     break
@@ -252,7 +244,7 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
                     break
             if not coeff:
                 continue
-            last, r_last = parts[-1], assignment.parts[-1]
+            last, r_last = parts[-1], assignment[-1]
             coeff *= _index_weight_factor(last, r_last)
             if not coeff:
                 continue
@@ -263,7 +255,7 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
         parts = P.parts
         for assignment in index_assignments(P, PartitionKind.FAT):
             coeff = Fraction(1)
-            for part, r in zip(parts, assignment.parts):
+            for part, r in zip(parts, assignment):
                 coeff *= _index_weight_factor(part, r)
                 if not coeff:
                     break

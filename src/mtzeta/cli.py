@@ -31,7 +31,7 @@ from .mzvconvert import mt_to_mzv
 from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, _RND, EvalConfig, _mag, _parts, lerch_phi, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
-from .symexpr import _frac_str, atom_from_json, atom_to_json, expr_from_json, expr_to_json
+from .symexpr import _canon_color, _frac_str, atom_to_json, expr_to_json
 
 SCHEMA = "mtzeta/1"
 # verify combines residuals at 53 bits, mpmath's default precision
@@ -45,11 +45,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _ints_arg(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise SystemExit(_usage_error(f"bad integer vector {text!r}")) from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad integer vector {text!r}") from None
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -61,6 +61,15 @@ def _fraction_arg(text: str) -> Fraction:
 
 def _fractions_arg(text: str) -> list[Fraction]:
     return [_fraction_arg(c) for c in text.split(",")]
+
+
+def _chi_arg(text: str) -> tuple[int, int]:
+    """A --chi flag "MOD,INDEX"; _resolve_character checks the range."""
+    try:
+        mod, idx = (int(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad character {text!r}, expected MOD,INDEX") from None
+    return mod, idx
 
 
 def _complex_arg(text: str) -> str:
@@ -94,11 +103,6 @@ def _precision_arg(text: str) -> int:
             f"bad precision {text!r}, need an integer in [64, {_MAX_PRECISION_BITS}]"
         )
     return bits
-
-
-def _usage_error(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 1
 
 
 def parse_complex(text: str) -> complex:
@@ -148,19 +152,6 @@ def identity_to_json(ident: Identity) -> dict:
     }
 
 
-def identity_from_json(data: dict) -> Identity:
-    lhs = tuple(
-        (Fraction(t["coeff"]), atom_from_json(t["atom"])) for t in data["lhs"]
-    )
-    return Identity(
-        lhs,
-        expr_from_json(data["rhs"]),
-        tuple(data["s"]),
-        Fraction(data["alpha"]),
-        int(data["depth"]),
-    )
-
-
 def _cfg(args: argparse.Namespace) -> EvalConfig:
     kwargs: dict[str, Any] = {}
     if getattr(args, "precision_bits", None):
@@ -170,12 +161,8 @@ def _cfg(args: argparse.Namespace) -> EvalConfig:
     return EvalConfig(**kwargs)
 
 
-def _resolve_character(spec: str):
-    try:
-        mod_s, idx_s = spec.split(",")
-        mod, idx = int(mod_s), int(idx_s)
-    except ValueError:
-        raise SystemExit(_usage_error(f"bad --chi {spec!r}, expected MOD,INDEX"))
+def _resolve_character(spec: tuple[int, int]):
+    mod, idx = spec
     chars = enumerate_characters(mod)
     if not 0 <= idx < len(chars):
         raise ValueError(f"character index {idx} out of range for modulus {mod}")
@@ -187,7 +174,7 @@ def _resolve_character(spec: str):
 
 
 def _cmd_partitions(args) -> int:
-    s = _parse_ints(args.s)
+    s = args.s
     kind = PartitionKind.FAT if args.kind == "fat" else PartitionKind.PRE_FAT
     parts = enumerate_partitions(s, kind)
     payload = {
@@ -205,7 +192,7 @@ def _cmd_partitions(args) -> int:
 
 
 def _cmd_bern_expand(args) -> int:
-    s = _parse_ints(args.s)
+    s = args.s
     combos = {  # by_subsets first: it refuses a vector over its budget before any work
         "by_subsets": expand_by_subsets(s),
         "naive": naive_product(s),
@@ -232,13 +219,13 @@ def _cmd_bern_expand(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    s = _parse_ints(args.s)
+    s = args.s
     expr = mt_to_mzv(s, args.colors)
     payload = {
         "schema": SCHEMA,
         "kind": "mzv-combination",
         "s": list(s),
-        "colors": [_frac_str(Fraction(c) % 1) for c in (args.colors or [0] * len(s))],
+        "colors": [_frac_str(_canon_color(c)) for c in (args.colors or [0] * len(s))],
         "expr": expr_to_json(expr),
     }
     _emit(payload, args.format, [str(expr)])
@@ -279,16 +266,15 @@ def _cmd_characters(args) -> int:
 
 
 def _identity_for(args) -> Identity:
-    s = _parse_ints(args.s)
     alpha = args.alpha if args.alpha is not None else Fraction(0)
-    return cyclic_sum_identity(s, alpha)
+    return cyclic_sum_identity(args.s, alpha)
 
 
 def _cmd_reduce(args) -> int:
     if args.chi:
         chi = _resolve_character(args.chi)
         cfg = _cfg(args)
-        fam = character_identities(_parse_ints(args.s), chi, cfg)
+        fam = character_identities(args.s, chi, cfg)
         family = []
         for w, ident in fam:
             w_re, w_im = _nstr_parts(w.value, 17, cfg)
@@ -330,7 +316,7 @@ def _cmd_verify(args) -> int:
     if args.chi:
         chi = _resolve_character(args.chi)
         # a non-coprime n has weight exactly 0: its member is not built
-        fam = character_identities(_parse_ints(args.s), chi, cfg, coprime_only=True)
+        fam = character_identities(args.s, chi, cfg, coprime_only=True)
         total, bound = (libmp.fzero, libmp.fzero), 0.0
         for w, ident in fam:
             r = ident.residual(z0, cfg)
@@ -348,7 +334,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "schema": SCHEMA,
         "kind": "verification",
-        "s": list(_parse_ints(args.s)),
+        "s": list(args.s),
         "z": str(args.z),
         "residual": residual,
         "bound": bound,
@@ -364,7 +350,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _cfg(args)
-    s = _parse_ints(args.s)
+    s = args.s
     if args.chi:
         chi = _resolve_character(args.chi)
         ones = enumerate_characters(1)[0]
@@ -427,12 +413,12 @@ def build_parser() -> _Parser:
         sp.add_argument("--precision-bits", type=_precision_arg, dest="precision_bits")
         sp.add_argument("--tol", type=_tol_arg)
 
-    def common(sp, z=False, alpha=False, chi=False, numeric=False):
-        sp.add_argument("--s", required=True, help="comma-separated integers")
-        if alpha:
-            sp.add_argument("--alpha", type=_fraction_arg, help='rational color "p/q"')
-        if chi:
-            sp.add_argument("--chi", help='character "MOD,INDEX"')
+    def common(sp, z=False, color=False, numeric=False):
+        sp.add_argument("--s", type=_ints_arg, required=True, help="comma-separated integers")
+        if color:
+            group = sp.add_mutually_exclusive_group()
+            group.add_argument("--alpha", type=_fraction_arg, help='rational color "p/q"')
+            group.add_argument("--chi", type=_chi_arg, help='character "MOD,INDEX"')
         if z:
             sp.add_argument("--z", type=_complex_arg, help='complex value "a+bi"')
         if numeric:
@@ -462,15 +448,15 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_characters)
 
     sp = sub.add_parser("reduce", help="construct the cyclic-sum identity")
-    common(sp, alpha=True, chi=True, numeric=True)
+    common(sp, color=True, numeric=True)
     sp.set_defaults(fn=_cmd_reduce)
 
     sp = sub.add_parser("verify", help="evaluate an identity and check the residual")
-    common(sp, z=True, alpha=True, chi=True, numeric=True)
+    common(sp, z=True, color=True, numeric=True)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("eval", help="evaluate an MT value or L-value")
-    common(sp, z=True, alpha=True, chi=True, numeric=True)
+    common(sp, z=True, color=True, numeric=True)
     sp.set_defaults(fn=_cmd_eval)
 
     return p
@@ -479,8 +465,6 @@ def build_parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "alpha", None) is not None and getattr(args, "chi", None):
-        return _usage_error("--alpha and --chi are mutually exclusive")
     try:
         return args.fn(args)
     except (ValueError, TypeError, OverflowError) as exc:

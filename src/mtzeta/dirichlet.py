@@ -37,7 +37,7 @@ from .numerics import (
     eval_expr,
 )
 from .reduction import Identity, cyclic_sum_identity
-from .symexpr import Expr, lerch, mt_value
+from .symexpr import Expr, _canon_color, lerch, mt_value
 
 __all__ = [
     "DirichletCharacter",
@@ -134,7 +134,7 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(
             self.modulus,
-            tuple(None if a is None else (-a) % 1 for a in self.angles),
+            tuple(None if a is None else _canon_color(-a) for a in self.angles),
             self.conductor,
             self.index,
         )
@@ -196,7 +196,7 @@ def enumerate_characters(f: int) -> list[DirichletCharacter]:
                 (Fraction(e * k, o) for e, k, o in zip(expo, t, orders)),
                 Fraction(0),
             )
-            angles[a] = ang % 1
+            angles[a] = _canon_color(ang)
         if f == 1:
             angles = [Fraction(0)]
         out.append(
@@ -268,7 +268,7 @@ def mt_l_value(
     total, bound = (libmp.fzero, libmp.fzero), 0.0
     for jvec in itertools.product(*[range(1, chi.modulus + 1) for chi in chis]):
         angs = [
-            None if a is None else (-a) % 1
+            None if a is None else _canon_color(-a)
             for a in (chi.angle(j) for chi, j in zip(chis, jvec))
         ]
         if any(a is None for a in angs):
@@ -311,7 +311,7 @@ def character_identities(
                 continue
             w = EvalResult(mpc(0), 0.0)
         else:
-            wv = libmp.mpc_div(_e_of((-a) % 1, prec), _parts(tau.value, prec), prec, _RND)
+            wv = libmp.mpc_div(_e_of(_canon_color(-a), prec), _parts(tau.value, prec), prec, _RND)
             w = EvalResult(mp.make_mpc(wv), _mag(wv, prec) * (_inverse_error(tau, prec) + 8 * _eps(prec)))
         out.append((w, cyclic_sum_identity(s, Fraction(n, f))))
     return out

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import binomial, multinomial
-from .symexpr import Atom, Expr, lerch, mzv
+from .symexpr import Atom, Expr, _canon_color, lerch, mzv
 
 __all__ = [
     "mt_convergent",
@@ -155,7 +155,7 @@ def mt_to_mzv(
     exps = tuple(exps)
     if colors is None:
         colors = (0,) * len(exps)
-    cols = tuple(Fraction(c) % 1 for c in colors)
+    cols = tuple(_canon_color(c) for c in colors)
     if len(exps) != len(cols):
         raise ValueError("exponent/color length mismatch")
     if any(not isinstance(e, int) or e < 1 for e in exps):

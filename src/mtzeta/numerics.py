@@ -22,8 +22,9 @@ Evaluation routes:
   integral at 1/p into products of geometrically convergent nested sums,
   in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F;
 * MT values either through the exact rewriting into MZVs (integer
-  exponents) or by direct truncated summation, as one-dimensional
-  convolutions over the totals, in float64.
+  exponents) or, at depth >= 2 with a non-integer slot, by direct
+  truncated summation, as one-dimensional convolutions over the totals,
+  in float64.
 
 Negating every color of a value with real exponents conjugates it, so of
 two such MZV (phi at depth 1) or MT atoms with integer exponents only the
@@ -55,7 +56,7 @@ from mpmath.ctx_mp import MPContext
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
-from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, atom_has_z, mt_value, mzv
+from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, _canon_color, atom_has_z, mt_value, mzv
 
 __all__ = [
     "EvalConfig",
@@ -261,7 +262,7 @@ def lerch_phi(
     denominator (1 for trivial color), the head n <= qM in fixed point,
     then q Euler-Maclaurin tails zeta(s, M + r/q), one per residue class.
     """
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     if isinstance(s, int) and s >= 2:
         return even_zeta(s, cfg) if alpha == 0 and s % 2 == 0 else _mzv_split((s,), (alpha,), cfg)
     from .periodic import phi_em  # loaded on first use (see periodic)
@@ -494,7 +495,7 @@ def mzv_eval(
     1 through lerch_phi, whose one other route for an int exponent is the
     closed form of even zeta(n)."""
     exps = tuple(exps)
-    cols = tuple(Fraction(c) % 1 for c in (colors if colors is not None else [0] * len(exps)))
+    cols = tuple(_canon_color(c) for c in (colors if colors is not None else [0] * len(exps)))
     if len(exps) != len(cols):
         raise ValueError("exponent/color length mismatch")
     if any(not isinstance(e, int) or e < 1 for e in exps):
@@ -522,7 +523,7 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
     one = 1 << F
     word, G = [], Fraction(0)  # None for the letter 0, else G for e(G)
     for s, h in zip(exps, cols):
-        G = (G - h) % 1 if h else G
+        G = _canon_color(G - h) if h else G
         word += [None] * (s - 1) + [G]
     colors = set(word) - {None, 0}
     r = min((_modulus((1, c, True)) for c in colors), default=1)
@@ -600,19 +601,14 @@ def mt_via_mzv(
 
 
 def _mt_tail(sigmas: Sequence[float], sigma_tot: float, N: int) -> float:
-    """Majorant for the part of an MT sum where some index exceeds N.
-
-    Depth 1: N^(1-s)/(s-1), s = sigma_1 + sigma_tot.  Depth k >= 2, terms
-    with m_i > N: (sum m)^sigma_tot >= m_i^(sigma_tot/2) (sum of the
-    others)^(sigma_tot/2) if sigma_tot >= 0, AM-GM on the second factor,
-    then N^(1-dec)/(dec-1), dec = sigma_i + sigma_tot/2, for the sum over
-    m_i and zeta(x) <= 1 + 1/(x-1), x = sigma_o + sigma_tot/(2(k-1)), for
-    each other.  Crude but sound; ValueError where a step fails
+    """Majorant for the part of an MT sum of depth k >= 2 where some index
+    exceeds N.  Terms with m_i > N: (sum m)^sigma_tot >= m_i^(sigma_tot/2)
+    (sum of the others)^(sigma_tot/2) if sigma_tot >= 0, AM-GM on the
+    second factor, then N^(1-dec)/(dec-1), dec = sigma_i + sigma_tot/2, for
+    the sum over m_i and zeta(x) <= 1 + 1/(x-1), x = sigma_o +
+    sigma_tot/(2(k-1)), for each other.  Crude but sound; ValueError where a step fails
     (sigma_tot < 0, some dec <= 1 or some x <= 1)."""
     k = len(sigmas)
-    if k == 1:
-        s = sigmas[0] + sigma_tot
-        return N ** (1.0 - s) / (s - 1.0)
     decs = [s + sigma_tot / 2.0 for s in sigmas]
     xs = [s + sigma_tot / (2.0 * (k - 1)) for s in sigmas]
     if sigma_tot < 0 or min(decs) <= 1 or min(xs) <= 1:
@@ -629,16 +625,18 @@ def mt_direct(
     colors: Sequence[Fraction] | None = None,
     cfg: EvalConfig = DEFAULT_CONFIG,
 ) -> EvalResult:
-    """Direct truncated summation of an MT value of depth k >= 1 (exponents
-    may be non-integer; absolute convergence is required).
+    """Direct truncated summation of an MT value of depth k >= 2: k head
+    slots and the total slot, as in every MTValue atom (exponents may be
+    non-integer; absolute convergence is required).  Depth 1 is phi, which
+    lerch_phi evaluates.
 
     The sum over the cube m_1, ..., m_k <= N is sum_{n=k}^{kN} g(n) (a_1 *
     ... * a_k)(n), a_j(m) = e(c_j m) m^-s_j (m <= N), g(n) = e(c n)
     n^-s_(k+1): k - 1 np.convolve calls and one sum over the totals.  N is
     the first power of two from 64 whose tail majorant (_mt_tail) meets the
     target, capped so that the k(k-1)/2 N^2 products of the convolutions
-    stay within _MAX_TERMS (2000 at depth 2, 1154 at depth 3; depth 1
-    convolves nothing and takes the cap of depth 2); a cap below 1 raises.
+    stay within _MAX_TERMS (2000 at depth 2, 1154 at depth 3); a cap below
+    1 raises.
     The bound keeps the tail at the capped N, so it may miss the target.
 
     Roundoff, in units u = 2^-53, with A = |a_1| * ... * |a_k| (a second
@@ -658,13 +656,13 @@ def mt_direct(
     """
     exps = tuple(exps)
     k = len(exps) - 1
-    if k < 1:
-        raise ValueError("direct summation needs a head slot and the total slot")
-    cols = tuple(Fraction(c) % 1 for c in (colors if colors is not None else [0] * (k + 1)))
+    if k < 2:
+        raise ValueError("direct summation needs two head slots and the total slot")
+    cols = tuple(_canon_color(c) for c in (colors if colors is not None else [0] * (k + 1)))
     check_mt_convergence(exps)
     sigmas = [complex(e).real for e in exps[:-1]]
     sig_tot = complex(exps[-1]).real
-    cap = math.isqrt(2 * _MAX_TERMS // max(k * (k - 1), 2))
+    cap = math.isqrt(2 * _MAX_TERMS // (k * (k - 1)))
     if cap < 1:
         raise ValueError(f"direct summation of depth {k} is beyond the term budget")
 

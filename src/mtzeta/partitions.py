@@ -9,7 +9,8 @@ source vector.  Two families matter:
 A vector of length t has F_t pre-fat and F_{t-1} fat partitions (Fibonacci,
 F_1 = F_2 = 1).  Each partition carries a dependent multi-index r whose
 per-entry ranges are recomputed from the earlier entries; see
-:func:`index_bound`.
+:func:`index_bound`.  :func:`index_assignments` yields each r as a plain
+tuple of per-part index vectors.
 
 Iteration order is part of the module contract so downstream symbolic
 output is reproducible: partitions come in lexicographic order of their cut
@@ -27,7 +28,6 @@ from typing import Iterator, Sequence
 __all__ = [
     "PartitionKind",
     "OrderedPartition",
-    "IndexAssignment",
     "enumerate_partitions",
     "index_bound",
     "index_assignments",
@@ -73,17 +73,6 @@ class OrderedPartition:
 
     def is_fat(self) -> bool:
         return all(len(p) >= 2 for p in self.parts)
-
-
-@dataclass(frozen=True)
-class IndexAssignment:
-    """One choice of the dependent multi-index r, one tuple per part.
-
-    Parts of length 2 (and a length-1 final part) contribute empty tuples;
-    the empty product over such a part is 1 by convention.
-    """
-
-    parts: tuple[tuple[int, ...], ...]
 
 
 # Most partitions enumerate_partitions builds: 18 ones have F_18 = 2,584
@@ -172,11 +161,14 @@ def index_lengths(P: OrderedPartition, kind: PartitionKind) -> tuple[int, ...]:
 
 def index_assignments(
     P: OrderedPartition, kind: PartitionKind
-) -> Iterator[IndexAssignment]:
+) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Iterate the dependent index set of a partition in odometer order.
 
-    The first part's indices vary fastest, and within a part the leftmost
-    entry varies fastest.  Every emitted assignment satisfies
+    Each assignment is one choice of the dependent multi-index r: a tuple
+    of index vectors, one per part.  Parts of length 2 (and a length-1
+    final part) get the empty vector, whose empty product is 1.  The first
+    part's indices vary fastest, and within a part the leftmost entry
+    varies fastest.  Every emitted assignment satisfies
     ``0 <= r_{j,i} <= index_bound(part_j, r_j[:i-1], i)``.
     """
     lengths = index_lengths(P, kind)
@@ -184,7 +176,7 @@ def index_assignments(
         _part_index_vectors(part, n) for part, n in zip(P.parts, lengths)
     ]
     for combo in itertools.product(*reversed(per_part)):
-        yield IndexAssignment(tuple(reversed(combo)))
+        yield tuple(reversed(combo))
 
 
 def inflate(j: Sequence[int], positions: Sequence[int], t: int) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ import numpy as np
 from .exact import binomial, multinomial
 from .numerics import DEFAULT_CONFIG, EvalConfig, EvalResult, eval_expr
 from .partitions import PartitionKind, enumerate_partitions, index_assignments
-from .symexpr import Atom, EvenZeta, Expr, Z, lerch, mt_value
+from .symexpr import Atom, EvenZeta, Expr, Z, _canon_color, lerch, mt_value
 
 __all__ = [
     "Identity",
@@ -101,7 +101,7 @@ def subset_reduction(
         raise ValueError(f"subset {subset} is not a subset of 1..{k}")
     if any(e < 1 for e in s):
         raise ValueError("exponents must be positive")
-    return Expr(_subset_terms(s, subset, Fraction(alpha) % 1, itertools.count(1)))
+    return Expr(_subset_terms(s, subset, _canon_color(alpha), itertools.count(1)))
 
 
 # Each visited index assignment costs the weight of s, since the binomials of
@@ -132,7 +132,7 @@ def _subset_terms(
             coeff = prefactor
             atoms: list[Atom] = []
             dead = False
-            for pj, (part, r) in enumerate(zip(parts, assignment.parts)):
+            for pj, (part, r) in enumerate(zip(parts, assignment)):
                 for n_i, rv in enumerate(r, start=1):
                     # partial sum of r through rv itself: the coefficient
                     # index runs one ahead of the raw expansion's
@@ -193,7 +193,7 @@ def cyclic_sum_identity(s: Sequence[int], alpha: Fraction | int = 0) -> Identity
         raise ValueError("depth must be >= 2")
     if any(not isinstance(e, int) or e < 1 for e in s):
         raise ValueError("exponents must be positive integers")
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     visits = itertools.count(1)
     rhs = Expr(
         (atoms, -coeff if len(subset) % 2 else coeff)
@@ -234,7 +234,7 @@ def finite_sum_check(
         raise ValueError(f"subset {subset} invalid for k={k}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     af = float(alpha)
     zc = complex(z0)
     m = np.arange(1, N + 1)
@@ -310,7 +310,7 @@ def depth2_identity(a: int, b: int, alpha: Fraction | int = 0) -> Identity:
     """
     if a < 1 or b < 1:
         raise ValueError("exponents must be >= 1")
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     sign = Fraction(-1 if (a + b) % 2 else 1)
 
     def terms():
@@ -324,7 +324,7 @@ def depth2_identity(a: int, b: int, alpha: Fraction | int = 0) -> Identity:
 def quad_e2(n: int, alpha: Fraction | int = 0) -> Expr:
     """Size-2 subset term for four equal exponents:
     4 sum_r C(2n-2r-1, n-1) zeta(2r) MT(n, n, z, 2n-2r; 0,0,alpha,0)."""
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     return Expr(
         (
             (EvenZeta(2 * r), mt_value((n, n, Z, 2 * n - 2 * r), (0, 0, alpha, 0))),
@@ -337,7 +337,7 @@ def quad_e2(n: int, alpha: Fraction | int = 0) -> Expr:
 def quad_e3(n: int, alpha: Fraction | int = 0) -> Expr:
     """Size-3 subset term for four equal exponents.  Its parity-filtered
     zeta~(2n) is always even, so it is built as zeta(2n)."""
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     sgn = Fraction(-1 if n % 2 else 1)
 
     def terms():
@@ -361,7 +361,7 @@ def quad_e4(n: int, alpha: Fraction | int = 0) -> Expr:
     """Size-4 subset term for four equal exponents.  The parity filter is
     applied at construction: zeta~(2n) is built as zeta(2n), and the
     zeta~(3n-2mu) terms, which vanish for odd n, are built only for even n."""
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     sgn = Fraction(-1 if n % 2 else 1)
 
     def terms():
@@ -404,7 +404,7 @@ def quad_identity(n: int, alpha: Fraction | int = 0) -> Identity:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     rhs = quad_e2(n, alpha).scale(6) - quad_e3(n, alpha).scale(4) + quad_e4(n, alpha)
     return Identity(_cyclic_lhs((n, n, n, n), alpha), rhs, (n, n, n, n), alpha, 4)
 
@@ -417,7 +417,7 @@ def quad_ones_identity(alpha: Fraction | int = 0) -> Identity:
 
     with the color alpha riding on the z slot throughout.
     """
-    alpha = Fraction(alpha) % 1
+    alpha = _canon_color(alpha)
     lhs = (
         (Fraction(4), mt_value((1, 1, 1, Z, 1), (0, 0, 0, alpha, 0))),
         (Fraction(-1), mt_value((1, 1, 1, 1, Z), (0, 0, 0, 0, alpha))),

@@ -18,7 +18,8 @@ Atoms
 Build atoms with ``lerch`` (phi), ``mt_value`` and ``mzv``: they
 canonicalize colors, sort MT slots and collapse low depths.
 
-Colors are rationals reduced mod 1; color 0 is the trivial phase.
+Colors are rationals reduced mod 1 by ``_canon_color``, the one place in
+the package that reduces a color; color 0 is the trivial phase.
 Exponents are affine in z with z-coefficient 0 or 1; a product term may
 contain at most one z-bearing atom (constructions that would violate this
 signal a bug and are rejected).  ``Expr.substitute`` replaces z by a
@@ -30,6 +31,7 @@ canonical: no zero coefficients, atoms sorted by a fixed total order, so
 two expressions are equal iff their maps are equal.  ``Expr(pairs)`` builds
 the map from all its (atoms, coefficient) terms in one pass; builders pass
 every term at once rather than adding one-term expressions in a loop.
+``expr_to_json`` writes the JSON output; nothing reads it back.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ __all__ = [
     "mt_value",
     "mzv",
     "expr_to_json",
-    "expr_from_json",
 ]
 
 
@@ -317,9 +318,6 @@ class Expr:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -383,12 +381,6 @@ def _exp_json(e: AffineExp) -> Any:
     return {"const": e.const, "z": True} if e.has_z else e.const
 
 
-def _exp_from_json(v: Any) -> AffineExp:
-    if isinstance(v, dict):
-        return AffineExp(int(v["const"]), bool(v.get("z")))
-    return AffineExp(int(v))
-
-
 def atom_to_json(a: Atom) -> dict:
     if isinstance(a, EvenZeta):
         return {"type": "even_zeta", "n": a.n}
@@ -409,34 +401,9 @@ def atom_to_json(a: Atom) -> dict:
     raise TypeError(f"cannot serialize {a!r}")
 
 
-def atom_from_json(d: dict) -> Atom:
-    t = d["type"]
-    if t == "even_zeta":
-        return EvenZeta(int(d["n"]))
-    if t == "lerch":
-        return lerch(_exp_from_json(d["exp"]), Fraction(d["color"]))
-    if t == "mt":
-        return mt_value(
-            [_exp_from_json(e) for e in d["exps"]],
-            [Fraction(c) for c in d["colors"]],
-        )
-    if t == "mzv":
-        return mzv(
-            [_exp_from_json(e) for e in d["exps"]],
-            [Fraction(c) for c in d["colors"]],
-        )
-    raise ValueError(f"unknown atom type {t!r}")
-
-
 def expr_to_json(e: Expr) -> list[dict]:
     return [
         {"coeff": _frac_str(c), "atoms": [atom_to_json(a) for a in atoms]}
         for atoms, c in e.items()
     ]
 
-
-def expr_from_json(data: Iterable[dict]) -> Expr:
-    return Expr(
-        (tuple(atom_from_json(a) for a in entry["atoms"]), entry["coeff"])
-        for entry in data
-    )

@@ -11,10 +11,8 @@ import pytest
 
 import mtzeta
 from mtzeta import mzvconvert, reduction
-from mtzeta.cli import identity_from_json, identity_to_json, main, parse_complex
-from mtzeta.numerics import _MAX_PRECISION_BITS
-from mtzeta.reduction import cyclic_sum_identity
-from mtzeta.symexpr import expr_from_json, expr_to_json
+from mtzeta.cli import main, parse_complex
+from mtzeta.numerics import _MAX_PRECISION_BITS, mt_direct
 
 
 def run_cli(*argv, timeout=None):
@@ -54,12 +52,6 @@ def test_reduce_worked_example(capsys):
             ],
         }
     ]
-
-
-def test_identity_json_round_trip():
-    ident = cyclic_sum_identity((2, 1, 2), 0)
-    assert identity_from_json(identity_to_json(ident)) == ident
-    assert expr_from_json(expr_to_json(ident.rhs)) == ident.rhs
 
 
 def test_verify_exit_codes(capsys):
@@ -272,6 +264,14 @@ def test_eval_single_slot_route_is_lerch(capsys):
     assert json.loads(capsys.readouterr().out)["bound"] <= 1e-32
 
 
+def test_mt_direct_refuses_depth1(capsys):
+    # every MT atom has two head slots or more; one head slot is phi
+    with pytest.raises(ValueError, match="two head slots"):
+        mt_direct((2, 2.5))
+    assert main(["eval", "--s", "2", "--z", "2.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["route"] == "lerch"
+
+
 def test_verify_depth4_noninteger_z(capsys):
     # depth-4 atoms at a non-integer z take direct summation too
     assert main(["verify", "--s", "1,1,1,1", "--alpha", "1/2", "--z", "2.5"]) == 0
@@ -293,7 +293,8 @@ def test_determinism_and_exit1():
         rc, _, err = run_cli(*argv)
         assert rc == 1, argv
         assert "usage" in err or "error" in err
-    # truncation is not a flag; tolerance and precision are checked at parse time
+    # truncation is not a flag; tolerance, precision, --s and --chi are
+    # checked at parse time
     for argv in (
         ("eval", "--s", "2,2", "--z", "2.5", "--N", "0"),
         ("eval", "--s", "2,2", "--z", "2", "--tol", "-1"),
@@ -305,6 +306,9 @@ def test_determinism_and_exit1():
         ("eval", "--s", "2,2", "--z", "inf"),
         ("eval", "--s", "2,2", "--z", "nan"),
         ("verify", "--s", "2,2", "--z", "1e400"),
+        ("eval", "--s", "2,x"),
+        ("reduce", "--s", "2,2", "--chi", "4"),
+        ("reduce", "--s", "2,2", "--chi", "4,a"),
     ):
         rc, _, err = run_cli(*argv)
         assert rc == 1, argv
@@ -319,6 +323,14 @@ def test_mutually_exclusive_alpha_chi():
         "verify", "--s", "2,2", "--alpha", "0", "--chi", "4,1", "--z", "2"
     )
     assert rc == 1
+    assert "not allowed with argument" in err and "usage" in err
+
+
+def test_character_out_of_range_exit_2(capsys):
+    # a well-formed --chi out of range is a domain error, not a flag error
+    for argv in (["reduce", "--s", "2,2", "--chi", "51,0"], ["reduce", "--s", "2,2", "--chi", "4,7"]):
+        assert main(argv) == 2, argv
+        assert "domain error" in capsys.readouterr().err, argv
 
 
 def test_characters_command(capsys):

@@ -221,7 +221,7 @@ def test_mt_direct_roundoff_sound():
     cfg = EvalConfig(precision_bits=64, target_tol=1.0)
     cases = [
         # the phase of n^-it carries an error that grows with |t| ln n
-        ((2, 2 + 20000j), (0, 0)),
+        ((2, 2, 2 + 20000j), (0, 0, 0)),
         ((1, 2 + 1j, 2), (0, Fraction(1, 3), 0)),
         ((2, 3, 2.5 - 0.5j), (Fraction(1, 4), 0, Fraction(2, 5))),
         ((1, 2, 3, 2 + 1j), (0, 0, 0, Fraction(1, 3))),
@@ -249,24 +249,6 @@ def test_mt_direct_memory_is_linear_in_N():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
-
-
-def test_mt_direct_depth1_is_capped():
-    # depth 1 convolves nothing but takes the depth-2 cap, N = 2000, not 4M
-    # terms; the bound keeps the tail at that N and stays sound
-    import tracemalloc
-
-    cfg = EvalConfig(target_tol=1e-30)
-    tracemalloc.start()
-    try:
-        got = mt_direct((2, 2.5), (0, 0), cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 << 20
-    assert got.bound < 1e-11
-    with mp.workprec(128):
-        assert_close(got, mp.zeta(4.5))
 
 
 def test_eval_expr_basics():

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mtzeta.partitions import (
-    IndexAssignment,
     OrderedPartition,
     PartitionKind,
     enumerate_partitions,
@@ -62,13 +61,13 @@ def test_single_prefat_part_range():
     # one part (s1, s2): one index ranging 0..floor(max(s1,s2)/2)
     P = enumerate_partitions((3, 5), PartitionKind.PRE_FAT)[0]
     assignments = list(index_assignments(P, PartitionKind.PRE_FAT))
-    assert assignments == [IndexAssignment(((r,),)) for r in range(0, 3)]
+    assert assignments == [((r,),) for r in range(0, 3)]
 
 
 def test_length2_nonlast_part_has_no_indices():
     P = OrderedPartition((1, 2, 3, 4), (2,))
     for a in index_assignments(P, PartitionKind.FAT):
-        assert a.parts[0] == ()
+        assert a[0] == ()
 
 
 def test_prefat_221_example():
@@ -78,7 +77,7 @@ def test_prefat_221_example():
     # s = (2,2,1); see test_bernprod.)
     P = OrderedPartition((2, 2, 1), (2,))
     got = list(index_assignments(P, PartitionKind.PRE_FAT))
-    assert got == [IndexAssignment(((), ()))]
+    assert got == [((), ())]
 
 
 def test_assignments_unique_and_within_bounds():
@@ -87,9 +86,9 @@ def test_assignments_unique_and_within_bounds():
         for P in enumerate_partitions(s, kind):
             seen = set()
             for a in index_assignments(P, kind):
-                assert a.parts not in seen
-                seen.add(a.parts)
-                for part, r in zip(P.parts, a.parts):
+                assert a not in seen
+                seen.add(a)
+                for part, r in zip(P.parts, a):
                     for i, ri in enumerate(r, start=1):
                         assert 0 <= ri <= index_bound(part, r[: i - 1], i)
 
@@ -100,7 +99,7 @@ def test_index_count_per_part(s):
     for P in enumerate_partitions(s, PartitionKind.PRE_FAT):
         for a in index_assignments(P, PartitionKind.PRE_FAT):
             parts = P.parts
-            for j, (part, r) in enumerate(zip(parts, a.parts)):
+            for j, (part, r) in enumerate(zip(parts, a)):
                 expect = len(part) - 1 if j == len(parts) - 1 else len(part) - 2
                 assert len(r) == expect
 
