@@ -20,9 +20,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
-from .exact import bernoulli, bernoulli_poly, multinomial
+from .exact import bernoulli, bernoulli_poly, multinomial, product_integral
 from .partitions import (
     PartitionKind,
     enumerate_partitions,
@@ -60,8 +60,8 @@ class BernCombo:
         return BernCombo(dict(sorted(cleaned.items())), const)
 
 
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence[Any], b: Sequence[Any]) -> list[Any]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
@@ -134,8 +134,6 @@ def expand_by_subsets(s: Sequence[int]) -> BernCombo:
     prod (3 + s_i // 2); past _MAX_SUBSET_PAIRS it raises ValueError
     before the sum starts.
     """
-    from .exact import product_integral
-
     s = tuple(s)
     t = len(s)
     if t < 2 or any(e < 1 for e in s):
@@ -232,7 +230,6 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
 
     for P in enumerate_partitions(s, PartitionKind.PRE_FAT):
         parts = P.parts
-        q = len(parts)
         for assignment in index_assignments(P, PartitionKind.PRE_FAT):
             coeff = Fraction(1)
             for part, r in zip(parts[:-1], assignment[:-1]):

@@ -398,6 +398,8 @@ def _cmd_eval(args) -> int:
         "bound": result.bound,
     }
     _emit(payload, args.format, [f"{payload['value_re']} + {payload['value_im']} i  (bound {result.bound:.3e}, {route})"])
+    if result.bound > cfg.target_tol:
+        print(f"imprecise: bound {result.bound:.3e} exceeds target {cfg.target_tol:.1e}", file=sys.stderr)
     return 0
 
 

@@ -17,6 +17,7 @@ Hurwitz route pins the convention for complex ones.)
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,8 +243,6 @@ def mt_l_value(
     Requires every character primitive (the color bridge needs it); the
     f-grid size is at most ``MAX_GRID``.
     """
-    import itertools
-
     exps = tuple(exps)
     if any(not isinstance(e, int) or e < 1 for e in exps):
         raise ValueError(f"assembly needs positive integer exponents, got {exps}")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import binomial, multinomial
-from .symexpr import Atom, Expr, _canon_color, lerch, mzv
+from .symexpr import Atom, EvenZeta, Expr, MZValue, _canon_color, lerch, mzv
 
 __all__ = [
     "mt_convergent",
@@ -208,8 +208,6 @@ def mt_to_mzv(
 
 
 def _check_conserved(atom: Atom, weight: int, depth: int) -> None:
-    from .symexpr import EvenZeta, MZValue
-
     if isinstance(atom, EvenZeta):
         vals = [atom.n]
     elif isinstance(atom, MZValue):

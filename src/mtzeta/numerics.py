@@ -23,8 +23,8 @@ Evaluation routes:
   in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F;
 * MT values either through the exact rewriting into MZVs (integer
   exponents) or, at depth >= 2 with a non-integer slot, by direct
-  truncated summation, as one-dimensional convolutions over the totals,
-  in float64.
+  truncated summation (mt_direct, the one route that loads numpy, on
+  first use) as one-dimensional float64 convolutions over the totals.
 
 Negating every color of a value with real exponents conjugates it, so of
 two such MZV (phi at depth 1) or MT atoms with integer exponents only the
@@ -50,7 +50,6 @@ from itertools import accumulate, count, islice
 from operator import floordiv, rshift
 from typing import Any, Sequence
 
-import numpy as np
 from mpmath import libmp, mp, mpc
 from mpmath.ctx_mp import MPContext
 
@@ -561,10 +560,11 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
 # MT values: conversion route and direct truncated summation
 
 
-def _terms(m: np.ndarray, s: Any, color: Fraction) -> np.ndarray:
-    """m^-s e(color m) in float64 for m = 1.0, 2.0, ...: m^-Re(s) by pow,
-    times exp(i theta) with theta = 2 pi r/q - Im(s) ln m, r = color q m
-    mod q taken in (-q/2, q/2]."""
+def _terms(m: Any, s: Any, color: Fraction) -> Any:
+    """m^-s e(color m) in float64 for the numpy array m = 1.0, 2.0, ...:
+    m^-Re(s) by pow, times exp(i theta) with theta = 2 pi r/q - Im(s) ln m,
+    r = color q m mod q taken in (-q/2, q/2]."""
+    import numpy as np
     s = complex(s)
     x = m ** -s.real
     if not (s.imag or color):
@@ -579,7 +579,7 @@ def _terms(m: np.ndarray, s: Any, color: Fraction) -> np.ndarray:
     return x * np.exp(1j * theta)
 
 
-def _terms_error(s: Any, color: Fraction, n: np.ndarray):
+def _terms_error(s: Any, color: Fraction, n: Any):
     """Relative error of _terms(m, s, color) for m <= n in units of 2^-53,
     with pow, log and exp within 1 ulp: 2 for pow; with a phase, 3 for exp
     and the product, and |d theta| <= 3 |Im s| ln n, or with a color
@@ -587,6 +587,7 @@ def _terms_error(s: Any, color: Fraction, n: np.ndarray):
     s = complex(s)
     if not (s.imag or color):
         return 2.0
+    import numpy as np
     return (4 if color else 3) * abs(s.imag) * np.log(n) + (16 if color else 5)
 
 
@@ -654,6 +655,8 @@ def mt_direct(
     ((k - 1) min(N, n) + 1), times 1 + 2^-20 for second-order terms and
     the roundoff of the moduli chain and of these sums.
     """
+    import numpy as np  # loaded on first use: no other route needs it
+
     exps = tuple(exps)
     k = len(exps) - 1
     if k < 2:

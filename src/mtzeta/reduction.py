@@ -16,23 +16,25 @@ valid away from singular points; all evaluation here stays in Re(z) >= 1.
 An exact finite-truncation check (:func:`finite_sum_check`) validates the
 sign and range conventions end to end: at every truncation level N the
 zero-frequency coefficient of a product of one- and two-sided exponential
-polynomials equals a signed sum of constrained lattice sums, with no
-analysis involved.
+polynomials equals a signed sum of constrained lattice sums, compared as
+the int coefficients of e(n alpha) n^-z, so for every alpha and z at once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterator, Sequence
 
-import numpy as np
-
+from .bernprod import _poly_mul
 from .exact import binomial, multinomial
 from .numerics import DEFAULT_CONFIG, EvalConfig, EvalResult, eval_expr
 from .partitions import PartitionKind, enumerate_partitions, index_assignments
-from .symexpr import Atom, EvenZeta, Expr, Z, _canon_color, lerch, mt_value
+from .symexpr import Atom, EvenZeta, Expr, Z, _canon_color, lerch, mt_value, mzv
 
 __all__ = [
     "Identity",
@@ -177,9 +179,9 @@ def _cyclic_lhs(
     return tuple(out)
 
 
-def _subsets(k: int, min_size: int = 2):
-    for size in range(min_size, k + 1):
-        yield from itertools.combinations(range(1, k + 1), size)
+def _subsets(items: Sequence[int], min_size: int = 2):
+    for size in range(min_size, len(items) + 1):
+        yield from itertools.combinations(items, size)
 
 
 def cyclic_sum_identity(s: Sequence[int], alpha: Fraction | int = 0) -> Identity:
@@ -197,7 +199,7 @@ def cyclic_sum_identity(s: Sequence[int], alpha: Fraction | int = 0) -> Identity
     visits = itertools.count(1)
     rhs = Expr(
         (atoms, -coeff if len(subset) % 2 else coeff)
-        for subset in _subsets(k)
+        for subset in _subsets(range(1, k + 1))
         for atoms, coeff in _subset_terms(s, subset, alpha, visits)
     )
     return Identity(_cyclic_lhs(s, alpha), rhs, s, alpha, k)
@@ -208,24 +210,19 @@ def cyclic_sum_identity(s: Sequence[int], alpha: Fraction | int = 0) -> Identity
 
 
 def finite_sum_check(
-    s: Sequence[int],
-    subset: Sequence[int],
-    alpha: Fraction | int,
-    z0: Any,
-    N: int,
-) -> tuple[complex, complex]:
-    """Both sides of the truncation-exact integral identity at level N.
+    s: Sequence[int], subset: Sequence[int], N: int
+) -> tuple[list[int], list[int]]:
+    """Both sides of the truncation-exact integral identity at level N: the
+    coefficients c_1..c_N of e(n alpha) n^-z, as ints at the common scale
+    lcm(1..N)^|s|.  Equal lists prove it for every alpha and z at once.
 
-    Left: the zero-frequency coefficient of
-        prod_{j in i} f_{s_j,N} * prod_{j not in i} f^+_{s_j,N} * f^+_{z,N}(x+alpha),
-    where f^+ is the one-sided exponential polynomial sum_{m<=N} e(mx)/m^s
-    and f = f^+ + (-1)^s f^+(-x).  Computed by coefficient convolution.
-
-    Right: sum over sub-subsets j of i of (-1)^(|s(j)|) S_N(s, j, alpha),
-    where S_N is the lattice sum over m_1..m_{k+1} <= N constrained by
-    sum_{j in subset} m = sum of the rest, with phase e(m_{k+1} alpha).
-    Computed by value-bucket convolution, a distinct pipeline from the
-    frequency convolution on the left.
+    Left: the zero-frequency coefficient of prod_{j in i} f_{s_j,N} prod_{j
+    not in i} f^+_{s_j,N} f^+_{z,N}(x + alpha), f^+_{s,N} = sum_{m<=N}
+    e(mx)/m^s and f = f^+ + (-1)^s f^+(-x); c_n is the first k factors'
+    coefficient at frequency -n, by frequency convolution.  Right: the sum
+    over nonempty J within i of (-1)^(|s(J)|) S_N(s, J), S_N the lattice sum
+    over m_1..m_{k+1} <= N with sum_{j in J} m_j = sum of the rest, grouped
+    by n = m_{k+1}, by value-bucket convolution, a distinct pipeline.
     """
     s = tuple(s)
     k = len(s)
@@ -234,66 +231,28 @@ def finite_sum_check(
         raise ValueError(f"subset {subset} invalid for k={k}")
     if N < 1:
         raise ValueError("N must be >= 1")
-    alpha = _canon_color(alpha)
-    af = float(alpha)
-    zc = complex(z0)
-    m = np.arange(1, N + 1)
+    L = math.lcm(*range(1, N + 1))
+    # index m holds m^-e scaled by L^e, for m = 0..N (0 at m = 0)
+    one = {e: [0] + [(L // m) ** e for m in range(1, N + 1)] for e in set(s)}
 
-    def one_sided(expo: complex, phase: float = 0.0) -> np.ndarray:
-        coeff = np.zeros(2 * N + 1, dtype=complex)  # index = freq + N
-        vals = m.astype(float) ** (-expo.real)
-        if expo.imag:
-            vals = vals * np.exp(-1j * expo.imag * np.log(m))
-        if phase:
-            vals = vals * np.exp(2j * np.pi * phase * m)
-        coeff[N + 1 :] = vals
-        return coeff
+    def product(factors) -> list[int]:
+        return functools.reduce(_poly_mul, factors, [1])
 
-    # left: frequency-space product
-    lhs_poly = np.zeros(1, dtype=complex)
-    lhs_poly[0] = 1.0
-    for j in range(1, k + 1):
-        arr = one_sided(complex(s[j - 1]))
-        if j in subset:
-            two = arr.copy()
-            two[:N] = ((-1) ** s[j - 1]) * arr[N + 1 :][::-1]
-            arr = two
-        lhs_poly = np.convolve(lhs_poly, arr)
-    lhs_poly = np.convolve(lhs_poly, one_sided(zc, af))
-    mid = (len(lhs_poly) - 1) // 2
-    lhs = complex(lhs_poly[mid])
+    # left: frequency-space product; each two-sided factor starts at -N
+    poly = product(
+        [(-1) ** e * x for x in one[e][:0:-1]] + one[e] if j in subset else one[e]
+        for j, e in enumerate(s, start=1)
+    )
+    left = [poly[N * len(subset) - n] for n in range(1, N + 1)]
 
     # right: signed constrained lattice sums via value buckets
-    def bucket(expos: list[complex], phases: list[float]) -> np.ndarray:
-        out = np.zeros(1, dtype=complex)
-        out[0] = 1.0
-        for expo, ph in zip(expos, phases):
-            vals = np.zeros(N + 1, dtype=complex)
-            v = m.astype(float) ** (-expo.real)
-            if expo.imag:
-                v = v * np.exp(-1j * expo.imag * np.log(m))
-            if ph:
-                v = v * np.exp(2j * np.pi * ph * m)
-            vals[1:] = v
-            out = np.convolve(out, vals)
-        return out
-
-    rhs = 0j
-    all_exps = [complex(e) for e in s] + [zc]
-    for size in range(0, len(subset) + 1):
-        for sub in itertools.combinations(subset, size):
-            if not sub:
-                continue  # empty constraint set has no solutions
-            a_expos = [all_exps[j - 1] for j in sub]
-            b_expos = [all_exps[j - 1] for j in range(1, k + 2) if j not in sub]
-            b_phases = [af if j == k + 1 else 0.0 for j in range(1, k + 2) if j not in sub]
-            ua = bucket(a_expos, [0.0] * len(a_expos))
-            vb = bucket(b_expos, b_phases)
-            t = min(len(ua), len(vb))
-            val = complex(np.dot(ua[:t], vb[:t]))
-            sgn = -1 if sum(s[j - 1] for j in sub) % 2 else 1
-            rhs += sgn * val
-    return lhs, rhs
+    right = [0] * N
+    for sub in _subsets(subset, 1):
+        ua = product(one[s[j - 1]] for j in sub)
+        vb = product(one[s[j - 1]] for j in range(1, k + 1) if j not in sub)
+        sign = (-1) ** sum(s[j - 1] for j in sub)
+        right = [c + sign * sum(map(operator.mul, ua[n:], vb)) for n, c in enumerate(right, 1)]
+    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +397,6 @@ def strong_reduction_pair(n: int) -> tuple[Expr, Expr]:
     z-free and evaluate to equal numbers (72 zeta(5) at n = 1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    from .symexpr import mzv
-
     lhs = Expr.term(4, (mt_value((1, 1, 1, n, 1), (0,) * 5),)) - Expr.term(
         1, (mt_value((1, 1, 1, 1, n), (0,) * 5),)
     )

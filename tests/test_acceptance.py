@@ -100,21 +100,21 @@ def test_criterion_02_bernoulli_product_oracle():
 
 def test_criterion_03_finite_truncation_exactness():
     t0 = time.time()
-    worst = 0.0
+    cases = unequal = nonzero = 0
     for k in (2, 3):
         for s in itertools.product(range(1, 4), repeat=k):
             for size in range(1, k + 1):
                 for subset in itertools.combinations(range(1, k + 1), size):
-                    for alpha in (0, Fraction(1, 3), Fraction(1, 2)):
-                        for z0 in (1, 2):
-                            for N in (10, 30):
-                                lhs, rhs = finite_sum_check(s, subset, alpha, z0, N)
-                                worst = max(worst, abs(lhs - rhs))
+                    for N in (10, 30):
+                        lhs, rhs = finite_sum_check(s, subset, N)
+                        cases += 1
+                        unequal += lhs != rhs
+                        nonzero += any(lhs)
     _report(
         3,
-        "finite-N integral identity exact to roundoff",
-        worst < 1e-10,
-        f"worst {worst:.2e} ({time.time()-t0:.1f}s)",
+        "finite-N integral identity exact in ints, for every alpha and z",
+        unequal == 0 and nonzero > 0,
+        f"{cases} cases, {unequal} unequal, {nonzero} with a nonzero coefficient ({time.time()-t0:.1f}s)",
     )
 
 

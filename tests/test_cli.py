@@ -15,18 +15,22 @@ from mtzeta.cli import main, parse_complex
 from mtzeta.numerics import _MAX_PRECISION_BITS, mt_direct
 
 
-def run_cli(*argv, timeout=None):
+def run_python(*args, timeout=None):
     # the child imports the same mtzeta as this process, installed or not
     src = str(Path(mtzeta.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-m", "mtzeta.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_cli(*argv, timeout=None):
+    return run_python("-m", "mtzeta.cli", *argv, timeout=timeout)
 
 
 def test_parse_complex():
@@ -231,6 +235,41 @@ def test_verify_inconclusive_warning():
     rc, out, err = run_cli("verify", "--s", "2,3", "--alpha", "0", "--z", "2", "--tol", "1e-8")
     assert rc == 0 and json.loads(out)["pass"]
     assert err == ""
+
+
+def test_eval_imprecise_warning():
+    # bound 2.2e-4 against the default target 1e-32: stdout and exit code as
+    # before, plus a warning on stderr
+    rc, out, err = run_cli("eval", "--s", "1,1", "--z", "2.5")
+    assert rc == 0 and json.loads(out)["route"] == "direct"
+    assert json.loads(out)["bound"] > 1e-32
+    assert err.startswith("imprecise: bound ") and "exceeds target 1.0e-32" in err
+    rc, out, err = run_cli("eval", "--s", "2,2,2,2", "--z", "2")
+    assert rc == 0 and json.loads(out)["bound"] <= 1e-32
+    assert err == ""
+
+
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import mtzeta.cli
+seen = ["numpy" in sys.modules]
+for argv in (["eval", "--s", "2,2,2,2", "--z", "2"], ["verify", "--s", "2,3", "--alpha", "1/3", "--z", "2"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert mtzeta.cli.main(argv) == 0
+    seen.append("numpy" in sys.modules)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert mtzeta.cli.main(["eval", "--s", "1,1", "--z", "2.5"]) == 0
+print(json.dumps([seen, "numpy" in sys.modules, json.loads(out.getvalue())["route"]]))
+"""
+
+
+def test_numpy_loads_only_in_the_direct_route():
+    # a fresh interpreter: the import and the integer-exponent routes leave
+    # numpy unloaded, and the direct route loads it on first use
+    rc, out, err = run_python("-c", _NUMPY_PROBE, timeout=60)
+    assert rc == 0, err
+    assert json.loads(out) == [[False, False, False], True, "direct"]
 
 
 def test_verify_fine_colors(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -187,26 +188,64 @@ def test_mordell_shortcut():
 
 def test_finite_sum_check_n1_hand_case():
     # k=3, i={1,2}, N=1: exactly one admissible tuple on each side
-    s = (1, 2, 1)
-    lhs, rhs = finite_sum_check(s, (1, 2), 0, 1, 1)
     # S for j={1}: m1 = m2+m3+m4 impossible at N=1; j={2} same;
     # j={1,2}: m1+m2 = m3+m4 holds at all-ones: value (-1)^{s1+s2} * 1
-    assert abs(rhs - (-1.0)) < 1e-14
-    assert abs(lhs - rhs) < 1e-14
+    assert finite_sum_check((1, 2, 1), (1, 2), 1) == ([-1], [-1])
 
 
 @pytest.mark.parametrize(
-    "s,subset,alpha,z0,N",
+    "s,subset,N",
     [
-        ((2, 1), (1, 2), Fraction(1, 3), 2, 30),
-        ((1, 1, 1), (1, 2), Fraction(1, 2), 1, 20),
-        ((3, 3), (2,), 0, complex(2, 1), 25),
-        ((1, 2, 3), (1, 2, 3), Fraction(1, 3), 1, 15),
+        ((2, 1), (1, 2), 30),
+        ((1, 1, 1), (1, 2), 20),
+        ((3, 3), (2,), 25),
+        ((1, 2, 3), (1, 2, 3), 15),
     ],
 )
-def test_finite_sum_check_cases(s, subset, alpha, z0, N):
-    lhs, rhs = finite_sum_check(s, subset, alpha, z0, N)
-    assert abs(lhs - rhs) < 1e-10
+def test_finite_sum_check_cases(s, subset, N):
+    lhs, rhs = finite_sum_check(s, subset, N)
+    assert lhs == rhs
+
+
+def _finite_sums_by_enumeration(s, subset, N):
+    """Both sides of finite_sum_check from their definitions, by visiting
+    every tuple in Fraction: c_n, the coefficient of e(n alpha) n^-z."""
+    k = len(s)
+    # left: signed frequencies of f_(s_j) for j in i, positive ones of
+    # f^+_(s_j) otherwise, and n of f^+_z, summing to frequency 0
+    left = [Fraction(0)] * N
+    ranges = [[m for m in range(-N, N + 1) if m] if j in subset else range(1, N + 1) for j in range(1, k + 1)]
+    for ms in itertools.product(*ranges, range(1, N + 1)):
+        if sum(ms) == 0:
+            w = Fraction(1)
+            for m, e in zip(ms, s):
+                w *= Fraction((-1) ** e if m < 0 else 1, abs(m) ** e)
+            left[ms[-1] - 1] += w
+    # right: (-1)^|s(J)| S_N(s, J) over nonempty J within i, S_N over
+    # m_1..m_(k+1) <= N with sum_(j in J) m_j = sum of the rest
+    right = [Fraction(0)] * N
+    for size in range(1, len(subset) + 1):
+        for J in itertools.combinations(subset, size):
+            sign = (-1) ** sum(s[j - 1] for j in J)
+            for ms in itertools.product(range(1, N + 1), repeat=k + 1):
+                if 2 * sum(ms[j - 1] for j in J) == sum(ms):
+                    w = Fraction(1)
+                    for m, e in zip(ms, s):
+                        w /= m**e
+                    right[ms[-1] - 1] += sign * w
+    return left, right
+
+
+@pytest.mark.parametrize("s,subset,N", [((1, 2, 3), (1, 2, 3), 4), ((1, 1, 2, 1), (1, 3), 3)])
+def test_finite_sum_check_matches_enumeration(s, subset, N):
+    # ties both int pipelines to the definitions; k = 4 lies outside
+    # criterion 3's grid
+    scale = math.lcm(*range(1, N + 1)) ** sum(s)
+    lhs, rhs = finite_sum_check(s, subset, N)
+    left, right = _finite_sums_by_enumeration(s, subset, N)
+    assert [Fraction(c, scale) for c in lhs] == left
+    assert [Fraction(c, scale) for c in rhs] == right
+    assert any(left)
 
 
 def test_numeric_truth_small_grid():
