@@ -213,6 +213,21 @@ def _closing_number(part: tuple[int, ...], r: tuple[int, ...]) -> Fraction:
     )
 
 
+def _closed_parts_factor(
+    parts: Sequence[tuple[int, ...]], assignment: Sequence[tuple[int, ...]]
+) -> Fraction:
+    """Product of the index-weight and closing factors over parts that each
+    close with a number; 0 as soon as one factor vanishes."""
+    out = Fraction(1)
+    for part, r in zip(parts, assignment):
+        out *= _index_weight_factor(part, r)
+        if out:
+            out *= _closing_number(part, r)
+        if not out:
+            return out
+    return out
+
+
 def expand_by_partitions(s: Sequence[int]) -> BernCombo:
     """Weight-homogeneous expansion over pre-fat and fat partitions.
 
@@ -228,17 +243,9 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
     terms: dict[int, Fraction] = {}
     constant = Fraction(0)
 
-    for P in enumerate_partitions(s, PartitionKind.PRE_FAT):
-        parts = P.parts
-        for assignment in index_assignments(P, PartitionKind.PRE_FAT):
-            coeff = Fraction(1)
-            for part, r in zip(parts[:-1], assignment[:-1]):
-                coeff *= _index_weight_factor(part, r)
-                if not coeff:
-                    break
-                coeff *= _closing_number(part, r)
-                if not coeff:
-                    break
+    for parts in enumerate_partitions(s, PartitionKind.PRE_FAT):
+        for assignment in index_assignments(parts, PartitionKind.PRE_FAT):
+            coeff = _closed_parts_factor(parts[:-1], assignment[:-1])
             if not coeff:
                 continue
             last, r_last = parts[-1], assignment[-1]
@@ -248,17 +255,8 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
             m = sum(last) if len(last) == 1 else sum(last) - 2 * sum(r_last)
             terms[m] = terms.get(m, Fraction(0)) + coeff
 
-    for P in enumerate_partitions(s, PartitionKind.FAT):
-        parts = P.parts
-        for assignment in index_assignments(P, PartitionKind.FAT):
-            coeff = Fraction(1)
-            for part, r in zip(parts, assignment):
-                coeff *= _index_weight_factor(part, r)
-                if not coeff:
-                    break
-                coeff *= _closing_number(part, r)
-                if not coeff:
-                    break
-            constant += coeff
+    for parts in enumerate_partitions(s, PartitionKind.FAT):
+        for assignment in index_assignments(parts, PartitionKind.FAT):
+            constant += _closed_parts_factor(parts, assignment)
 
     return BernCombo.build(terms, constant)

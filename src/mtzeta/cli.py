@@ -144,7 +144,7 @@ def identity_to_json(ident: Identity) -> dict:
         "kind": "identity",
         "s": list(ident.s),
         "alpha": _frac_str(ident.alpha),
-        "depth": ident.depth,
+        "depth": len(ident.s),
         "lhs": [
             {"coeff": _frac_str(c), "atom": atom_to_json(a)} for c, a in ident.lhs
         ],
@@ -176,17 +176,17 @@ def _resolve_character(spec: tuple[int, int]):
 def _cmd_partitions(args) -> int:
     s = args.s
     kind = PartitionKind.FAT if args.kind == "fat" else PartitionKind.PRE_FAT
-    parts = enumerate_partitions(s, kind)
+    partitions = enumerate_partitions(s, kind)
     payload = {
         "schema": SCHEMA,
         "kind": "partitions",
         "s": list(s),
         "partition_kind": kind.value,
-        "count": len(parts),
-        "partitions": [[list(p) for p in P.parts] for P in parts],
+        "count": len(partitions),
+        "partitions": [[list(p) for p in parts] for parts in partitions],
     }
-    _emit(payload, args.format, [f"{len(parts)} partitions"] + [
-        " | ".join(str(list(p)) for p in P.parts) for P in parts
+    _emit(payload, args.format, [f"{len(partitions)} partitions"] + [
+        " | ".join(str(list(p)) for p in parts) for parts in partitions
     ])
     return 0
 

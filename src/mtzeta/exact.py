@@ -21,7 +21,6 @@ __all__ = [
     "binomial",
     "multinomial",
     "bernoulli_poly",
-    "bernoulli_poly_eval",
     "product_integral",
 ]
 
@@ -84,14 +83,6 @@ def bernoulli_poly(n: int) -> tuple[Fraction, ...]:
     if n < 0:
         raise ValueError(f"Bernoulli polynomial degree must be >= 0, got {n}")
     return tuple(Fraction(comb(n, k)) * bernoulli(n - k) for k in range(n + 1))
-
-
-def bernoulli_poly_eval(n: int, x: Fraction) -> Fraction:
-    """Evaluate B_n(x) exactly at a rational point."""
-    acc = Fraction(0)
-    for c in reversed(bernoulli_poly(n)):
-        acc = acc * x + c
-    return acc
 
 
 def _even_or_unit(s: int) -> list[int]:

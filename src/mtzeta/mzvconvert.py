@@ -15,8 +15,6 @@ exponents (a_1 + t, a_2, ..., a_d) and colors h_1 = g'_1 + g_total,
 h_j = g'_j - g'_(j-1): the colors are the successive differences of the
 y-letters' colors.
 
-The two-variable partial-fraction identity ``partial_fraction_pair`` is
-the same expansion for two free variables; it is kept as a tested helper.
 Closed two- and three-variable formulas are implemented separately and
 serve as cross-checks for the general rewriting.
 """
@@ -32,7 +30,6 @@ from .symexpr import Atom, EvenZeta, Expr, MZValue, _canon_color, lerch, mzv
 __all__ = [
     "mt_convergent",
     "check_mt_convergence",
-    "partial_fraction_pair",
     "per_sum",
     "mt_to_mzv_depth2",
     "mt_to_mzv_depth3",
@@ -59,17 +56,6 @@ def mt_convergent(exps: Sequence[float]) -> bool:
 def check_mt_convergence(exps: Sequence[float]) -> None:
     if not mt_convergent(exps):
         raise ValueError(f"MT value with exponents {tuple(exps)} diverges")
-
-
-def partial_fraction_pair(a: int, b: int) -> list[tuple[int, int, int]]:
-    """Terms of the two-variable identity as (which, i, coeff):
-    which=0 keeps x with exponent a-i and gives (x+y) exponent b+i;
-    which=1 keeps y with exponent b-i and gives (x+y) exponent a+i."""
-    if a < 1 or b < 1:
-        raise ValueError("partial fractions need positive exponents")
-    out = [(0, i, binomial(b - 1 + i, i)) for i in range(a)]
-    out += [(1, i, binomial(a - 1 + i, i)) for i in range(b)]
-    return out
 
 
 def per_sum(args: Sequence, f: Callable[..., Expr]) -> Expr:

@@ -1,7 +1,7 @@
 """Ordered partitions of an exponent vector with length-constrained parts.
 
-A partition here is always ordered: the concatenation of its parts is the
-source vector.  Two families matter:
+A partition here is always ordered and is the plain tuple of its parts:
+the concatenation of its parts is the source vector.  Two families matter:
 
 * "pre-fat": every part except possibly the last has length >= 2;
 * "fat": every part, including the last, has length >= 2.
@@ -21,13 +21,11 @@ varying fastest.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Sequence
 
 __all__ = [
     "PartitionKind",
-    "OrderedPartition",
     "enumerate_partitions",
     "index_bound",
     "index_assignments",
@@ -40,41 +38,6 @@ class PartitionKind(Enum):
     FAT = "fat"
 
 
-@dataclass(frozen=True)
-class OrderedPartition:
-    """An ordered partition stored as cut positions into the source vector.
-
-    ``cuts`` lists the boundaries strictly between parts (prefix lengths),
-    so ``cuts == (2,)`` splits a length-4 source into two length-2 parts.
-    """
-
-    source: tuple[int, ...]
-    cuts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        t = len(self.source)
-        if t < 1:
-            raise ValueError("empty source vector")
-        prev = 0
-        for c in self.cuts:
-            if not prev < c < t:
-                raise ValueError(f"invalid cuts {self.cuts} for length {t}")
-            prev = c
-
-    @property
-    def parts(self) -> tuple[tuple[int, ...], ...]:
-        bounds = (0,) + self.cuts + (len(self.source),)
-        return tuple(
-            self.source[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)
-        )
-
-    def is_pre_fat(self) -> bool:
-        return all(len(p) >= 2 for p in self.parts[:-1])
-
-    def is_fat(self) -> bool:
-        return all(len(p) >= 2 for p in self.parts)
-
-
 # Most partitions enumerate_partitions builds: 18 ones have F_18 = 2,584
 # pre-fat partitions, and the partitions verb prints 22 ones' 17,711 in
 # 100 MB.
@@ -83,8 +46,9 @@ _MAX_PARTITIONS = 10_000
 
 def enumerate_partitions(
     s: Sequence[int], kind: PartitionKind
-) -> list[OrderedPartition]:
-    """All partitions of ``s`` of the given kind, lexicographic in cuts.
+) -> list[tuple[tuple[int, ...], ...]]:
+    """All partitions of ``s`` of the given kind, each the tuple of its
+    parts, lexicographic in the cut positions between parts.
     Raises ValueError, before building any, when their count F_t (pre-fat)
     or F_(t-1) (fat) is over _MAX_PARTITIONS."""
     src = tuple(s)
@@ -98,15 +62,15 @@ def enumerate_partitions(
     if count > _MAX_PARTITIONS:
         raise ValueError(f"{count} {kind.value} partitions exceed the budget of {_MAX_PARTITIONS}")
 
-    out: list[OrderedPartition] = []
+    out: list[tuple[tuple[int, ...], ...]] = []
 
-    def rec(start: int, cuts: tuple[int, ...]) -> None:
+    def rec(start: int, parts: tuple[tuple[int, ...], ...]) -> None:
         remaining = t - start
         if remaining >= min_last:
-            out.append(OrderedPartition(src, cuts))
+            out.append(parts + (src[start:],))
         # Non-final parts need length >= 2 and must leave room for a last part.
         for length in range(2, remaining - min_last + 1):
-            rec(start + length, cuts + (start + length,))
+            rec(start + length, parts + (src[start : start + length],))
 
     rec(0, ())
     return out
@@ -141,39 +105,28 @@ def _part_index_vectors(part: tuple[int, ...], count: int) -> list[tuple[int, ..
     return vectors
 
 
-def index_lengths(P: OrderedPartition, kind: PartitionKind) -> tuple[int, ...]:
-    """Length of the index vector attached to each part.
-
-    Non-last parts always get len(part) - 2 indices.  The last part gets
-    len(part) - 1 in the pre-fat index set (vacuous for a singleton part)
-    and len(part) - 2 in the fat index set.
-    """
-    parts = P.parts
-    if kind is PartitionKind.FAT and not P.is_fat():
-        raise ValueError(f"{P} is not a fat partition")
-    if not P.is_pre_fat():
-        raise ValueError(f"{P} is not a pre-fat partition")
-    out = [len(p) - 2 for p in parts]
-    if kind is PartitionKind.PRE_FAT:
-        out[-1] = len(parts[-1]) - 1
-    return tuple(out)
-
-
 def index_assignments(
-    P: OrderedPartition, kind: PartitionKind
+    parts: tuple[tuple[int, ...], ...], kind: PartitionKind
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     """Iterate the dependent index set of a partition in odometer order.
 
     Each assignment is one choice of the dependent multi-index r: a tuple
-    of index vectors, one per part.  Parts of length 2 (and a length-1
-    final part) get the empty vector, whose empty product is 1.  The first
+    of index vectors, one per part.  A non-last part gets len(part) - 2
+    indices; the last gets len(part) - 1 (pre-fat) or len(part) - 2 (fat).
+    So parts of length 2 (and a length-1 pre-fat last part) get the empty
+    vector, whose empty product is 1, and ValueError is raised when a
+    length would be negative: the partition is not of the kind.  The first
     part's indices vary fastest, and within a part the leftmost entry
     varies fastest.  Every emitted assignment satisfies
     ``0 <= r_{j,i} <= index_bound(part_j, r_j[:i-1], i)``.
     """
-    lengths = index_lengths(P, kind)
+    lengths = [len(part) - 2 for part in parts]
+    if kind is PartitionKind.PRE_FAT:
+        lengths[-1] += 1
+    if min(lengths) < 0:
+        raise ValueError(f"{parts} is not a {kind.value} partition")
     per_part = [
-        _part_index_vectors(part, n) for part, n in zip(P.parts, lengths)
+        _part_index_vectors(part, n) for part, n in zip(parts, lengths)
     ]
     for combo in itertools.product(*reversed(per_part)):
         yield tuple(reversed(combo))

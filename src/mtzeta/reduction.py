@@ -60,7 +60,6 @@ class Identity:
     rhs: Expr
     s: tuple[int, ...]
     alpha: Fraction
-    depth: int
 
     def lhs_expr(self) -> Expr:
         return Expr(((atom,), coeff) for coeff, atom in self.lhs)
@@ -121,11 +120,10 @@ def _subset_terms(
     weight = sum(s)
     sub = tuple(s[j - 1] for j in subset)
     sign = -1 if sum(sub) % 2 else 1
-    for P in enumerate_partitions(sub, PartitionKind.PRE_FAT):
-        parts = P.parts
+    for parts in enumerate_partitions(sub, PartitionKind.PRE_FAT):
         q = len(parts)
         prefactor = Fraction(sign * 2 ** (len(subset) - q))
-        for assignment in index_assignments(P, PartitionKind.PRE_FAT):
+        for assignment in index_assignments(parts, PartitionKind.PRE_FAT):
             if next(visits) * weight > _MAX_WORK:
                 raise ValueError(
                     f"reduction exceeded its budget of {_MAX_WORK} units"
@@ -202,7 +200,7 @@ def cyclic_sum_identity(s: Sequence[int], alpha: Fraction | int = 0) -> Identity
         for subset in _subsets(range(1, k + 1))
         for atoms, coeff in _subset_terms(s, subset, alpha, visits)
     )
-    return Identity(_cyclic_lhs(s, alpha), rhs, s, alpha, k)
+    return Identity(_cyclic_lhs(s, alpha), rhs, s, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +275,7 @@ def depth2_identity(a: int, b: int, alpha: Fraction | int = 0) -> Identity:
             c = binomial(a + b - 2 * r - 1, a - 1) + binomial(a + b - 2 * r - 1, a - 2 * r)
             yield (EvenZeta(2 * r), lerch(Z.shift(a + b - 2 * r), alpha)), sign * 2 * c
 
-    return Identity(_cyclic_lhs((a, b), alpha), Expr(terms()), (a, b), alpha, 2)
+    return Identity(_cyclic_lhs((a, b), alpha), Expr(terms()), (a, b), alpha)
 
 
 def quad_e2(n: int, alpha: Fraction | int = 0) -> Expr:
@@ -365,7 +363,7 @@ def quad_identity(n: int, alpha: Fraction | int = 0) -> Identity:
         raise ValueError("n must be >= 1")
     alpha = _canon_color(alpha)
     rhs = quad_e2(n, alpha).scale(6) - quad_e3(n, alpha).scale(4) + quad_e4(n, alpha)
-    return Identity(_cyclic_lhs((n, n, n, n), alpha), rhs, (n, n, n, n), alpha, 4)
+    return Identity(_cyclic_lhs((n, n, n, n), alpha), rhs, (n, n, n, n), alpha)
 
 
 def quad_ones_identity(alpha: Fraction | int = 0) -> Identity:
@@ -388,7 +386,7 @@ def quad_ones_identity(alpha: Fraction | int = 0) -> Identity:
         - Expr.term(24, (EvenZeta(2), lerch(Z.shift(2), alpha)))
         + Expr.term(24, (lerch(Z.shift(4), alpha),))
     )
-    return Identity(lhs, rhs, (1, 1, 1, 1), alpha, 4)
+    return Identity(lhs, rhs, (1, 1, 1, 1), alpha)
 
 
 def strong_reduction_pair(n: int) -> tuple[Expr, Expr]:

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -191,6 +192,30 @@ def test_outputs_match_recorded_digests(capsys):
     for case in ids + ["convert --s 1,2,3,4,5"]:
         assert main(case.split()) == 0, case
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded[case], case
+
+
+def test_public_names_have_callers():
+    # every name a module exports is used somewhere outside its own tests:
+    # in the package, the benchmark or the acceptance suite.  Only the
+    # closed forms that the tests compare the general routes against are
+    # exempt.
+    exempt = {"mt_to_mzv_depth2", "mt_to_mzv_depth3", "quad_ones_identity"}
+    root = Path(__file__).resolve().parents[1]
+    used = set()
+    for path in [*sorted((root / "src").rglob("*.py")), *sorted((root / "perfbench").rglob("*.py")), root / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update((node.name, node.asname))
+    unused = []
+    for path in sorted((root / "src" / "mtzeta").glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                unused += [f"{path.stem}.{name}" for name in ast.literal_eval(node.value) if name not in used | exempt]
+    assert not unused
 
 
 def test_convert_budget_bounds_memory_at_depth_60():

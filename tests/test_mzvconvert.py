@@ -9,26 +9,9 @@ from mtzeta.mzvconvert import (
     mt_to_mzv,
     mt_to_mzv_depth2,
     mt_to_mzv_depth3,
-    partial_fraction_pair,
     per_sum,
 )
 from mtzeta.symexpr import EvenZeta, Expr, MZValue, lerch, mzv
-
-
-def test_partial_fraction_identity_exact():
-    for a in range(1, 6):
-        for b in range(1, 6):
-            terms = partial_fraction_pair(a, b)
-            for x in range(1, 21):
-                for y in range(1, 21):
-                    lhs = Fraction(1, x**a * y**b)
-                    rhs = Fraction(0)
-                    for which, i, c in terms:
-                        if which == 0:
-                            rhs += Fraction(c, x ** (a - i) * (x + y) ** (b + i))
-                        else:
-                            rhs += Fraction(c, y ** (b - i) * (x + y) ** (a + i))
-                    assert lhs == rhs, (a, b, x, y)
 
 
 def test_per_sum_orderings():

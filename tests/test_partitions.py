@@ -1,8 +1,9 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from mtzeta.partitions import (
-    OrderedPartition,
     PartitionKind,
     enumerate_partitions,
     index_assignments,
@@ -18,11 +19,16 @@ def fib(n):
     return a
 
 
+def cuts(parts):
+    # the cut positions between parts: the prefix lengths before each later part
+    return tuple(itertools.accumulate(len(p) for p in parts[:-1]))
+
+
 def test_basic_examples():
     fat = enumerate_partitions((1, 2, 3, 4), PartitionKind.FAT)
-    assert [p.parts for p in fat] == [((1, 2, 3, 4),), ((1, 2), (3, 4))]
+    assert fat == [((1, 2, 3, 4),), ((1, 2), (3, 4))]
     pre = enumerate_partitions((5, 7), PartitionKind.PRE_FAT)
-    assert [p.parts for p in pre] == [((5, 7),)]
+    assert pre == [((5, 7),)]
 
 
 def test_fibonacci_counts():
@@ -34,20 +40,20 @@ def test_fibonacci_counts():
 
 def test_fat_subset_of_prefat():
     s = (1, 1, 2, 1, 3, 1)
-    fat = {p.cuts for p in enumerate_partitions(s, PartitionKind.FAT)}
-    pre = {p.cuts for p in enumerate_partitions(s, PartitionKind.PRE_FAT)}
+    fat = set(enumerate_partitions(s, PartitionKind.FAT))
+    pre = set(enumerate_partitions(s, PartitionKind.PRE_FAT))
     assert fat <= pre
     extra = pre - fat
-    for cuts in extra:
-        assert len(OrderedPartition(s, cuts).parts[-1]) == 1
+    for parts in extra:
+        assert len(parts[-1]) == 1
 
 
 def test_concatenation_invariant_and_order():
     s = (2, 1, 1, 3, 2)
     seen = []
-    for p in enumerate_partitions(s, PartitionKind.PRE_FAT):
-        assert sum(p.parts, ()) == s
-        seen.append(p.cuts)
+    for parts in enumerate_partitions(s, PartitionKind.PRE_FAT):
+        assert sum(parts, ()) == s
+        seen.append(cuts(parts))
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen))
 
@@ -59,14 +65,13 @@ def test_empty_source_rejected():
 
 def test_single_prefat_part_range():
     # one part (s1, s2): one index ranging 0..floor(max(s1,s2)/2)
-    P = enumerate_partitions((3, 5), PartitionKind.PRE_FAT)[0]
-    assignments = list(index_assignments(P, PartitionKind.PRE_FAT))
+    parts = enumerate_partitions((3, 5), PartitionKind.PRE_FAT)[0]
+    assignments = list(index_assignments(parts, PartitionKind.PRE_FAT))
     assert assignments == [((r,),) for r in range(0, 3)]
 
 
 def test_length2_nonlast_part_has_no_indices():
-    P = OrderedPartition((1, 2, 3, 4), (2,))
-    for a in index_assignments(P, PartitionKind.FAT):
+    for a in index_assignments(((1, 2), (3, 4)), PartitionKind.FAT):
         assert a[0] == ()
 
 
@@ -75,20 +80,30 @@ def test_prefat_221_example():
     # singleton last part is vacuous, so the index set is the single empty
     # assignment.  (Anything else breaks the product-expansion oracle for
     # s = (2,2,1); see test_bernprod.)
-    P = OrderedPartition((2, 2, 1), (2,))
-    got = list(index_assignments(P, PartitionKind.PRE_FAT))
+    got = list(index_assignments(((2, 2), (1,)), PartitionKind.PRE_FAT))
     assert got == [((), ())]
+
+
+def test_index_assignments_reject_wrong_kind():
+    # a non-last part shorter than 2 is neither kind; a last part shorter
+    # than 2 is pre-fat but not fat
+    for kind in PartitionKind:
+        with pytest.raises(ValueError):
+            list(index_assignments(((1,), (2, 3)), kind))
+    with pytest.raises(ValueError):
+        list(index_assignments(((1, 2), (3,)), PartitionKind.FAT))
+    assert list(index_assignments(((1, 2), (3,)), PartitionKind.PRE_FAT)) == [((), ())]
 
 
 def test_assignments_unique_and_within_bounds():
     s = (2, 3, 1, 2, 2)
     for kind in PartitionKind:
-        for P in enumerate_partitions(s, kind):
+        for parts in enumerate_partitions(s, kind):
             seen = set()
-            for a in index_assignments(P, kind):
+            for a in index_assignments(parts, kind):
                 assert a not in seen
                 seen.add(a)
-                for part, r in zip(P.parts, a):
+                for part, r in zip(parts, a):
                     for i, ri in enumerate(r, start=1):
                         assert 0 <= ri <= index_bound(part, r[: i - 1], i)
 
@@ -96,9 +111,8 @@ def test_assignments_unique_and_within_bounds():
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=6))
 def test_index_count_per_part(s):
     s = tuple(s)
-    for P in enumerate_partitions(s, PartitionKind.PRE_FAT):
-        for a in index_assignments(P, PartitionKind.PRE_FAT):
-            parts = P.parts
+    for parts in enumerate_partitions(s, PartitionKind.PRE_FAT):
+        for a in index_assignments(parts, PartitionKind.PRE_FAT):
             for j, (part, r) in enumerate(zip(parts, a)):
                 expect = len(part) - 1 if j == len(parts) - 1 else len(part) - 2
                 assert len(r) == expect
