@@ -27,6 +27,7 @@ from mpmath import libmp
 from . import __version__
 from .bernprod import carlitz_product, expand_by_partitions, expand_by_subsets, naive_product
 from .dirichlet import character_identities, enumerate_characters, gauss_sum, mt_l_value
+from .exact import _MAX_BERNOULLI
 from .mzvconvert import mt_to_mzv
 from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, _RND, EvalConfig, _mag, _parts, lerch_phi, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
@@ -193,6 +194,10 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_bern_expand(args) -> int:
     s = args.s
+    # the naive route rewrites a polynomial of degree |s| in the Bernoulli
+    # basis, so it needs B_|s|: refuse before the table grows
+    if sum(s) > _MAX_BERNOULLI:
+        raise ValueError(f"weight {sum(s)} passes the Bernoulli limit {_MAX_BERNOULLI}")
     combos = {  # by_subsets first: it refuses a vector over its budget before any work
         "by_subsets": expand_by_subsets(s),
         "naive": naive_product(s),

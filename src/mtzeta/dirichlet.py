@@ -38,7 +38,7 @@ from .numerics import (
     eval_expr,
 )
 from .reduction import Identity, cyclic_sum_identity
-from .symexpr import Expr, _canon_color, lerch, mt_value
+from .symexpr import Expr, _canon_color, mt_value
 
 __all__ = [
     "DirichletCharacter",
@@ -148,10 +148,8 @@ class DirichletCharacter:
 
 
 def _conductor(f: int, angles: Sequence[Optional[Fraction]]) -> int:
-    for d in sorted(
-        d for d in range(1, f + 1) if f % d == 0
-    ):
-        if all(
+    for d in range(1, f + 1):
+        if f % d == 0 and all(
             angles[a % f] == 0
             for a in range(1, f + 1)
             if a % d == 1 % d and math.gcd(a, f) == 1
@@ -170,7 +168,6 @@ def enumerate_characters(f: int) -> list[DirichletCharacter]:
 
     # discrete logs: enumerate the group as products of generator powers
     dlog: dict[int, tuple[int, ...]] = {1 % f: (0,) * len(gens)}
-    frontier = [1 % f]
     for i, (g, order) in enumerate(gens):
         current = list(dlog.items())
         for x, expo in current:
@@ -224,12 +221,6 @@ def _inverse_error(t: EvalResult, prec: int) -> float:
     return t.bound / (tm * max(tm - t.bound, 1e-300))
 
 
-def _colored_value_expr(exps: Sequence[Any], colors: Sequence[Fraction]) -> Expr:
-    if len(exps) == 1:
-        return Expr.atom(lerch(exps[0], colors[0]))
-    return Expr.atom(mt_value(exps, colors))
-
-
 def mt_l_value(
     exps: Sequence[int],
     chis: Sequence[DirichletCharacter],
@@ -273,7 +264,7 @@ def mt_l_value(
         if any(a is None for a in angs):
             continue
         colors = [Fraction(j, chi.modulus) for chi, j in zip(chis, jvec)]
-        val = eval_expr(_colored_value_expr(exps, colors), cfg=cfg)
+        val = eval_expr(Expr.atom(mt_value(exps, colors)), cfg=cfg)
         wt, wt_err = (libmp.fone, libmp.fzero), 0.0
         for a, it, ie in zip(angs, inv_taus, inv_tau_errs):
             wt = libmp.mpc_mul(wt, libmp.mpc_mul(_e_of(a, prec), it, prec, _RND), prec, _RND)

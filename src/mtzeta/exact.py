@@ -24,6 +24,14 @@ __all__ = [
     "product_integral",
 ]
 
+# Largest Bernoulli index computed.  The table grows by an O(n^2)-term
+# Fraction recurrence: B_976 takes about 8 s on one x86-64 core.  976 is the
+# largest even n below 978, from which the split route (numerics._li_terms)
+# refuses zeta(n), so zeta(n) is refused from n = 978 whatever its parity.
+# It is far above the B_326 that phi and hurwitz_zeta need at the largest
+# precision.
+_MAX_BERNOULLI = 976
+
 # B_0..B_n, grown on demand.  The table is a tuple, rebound after each
 # extension and never changed in place: a reader keeps the tuple it read, and
 # two threads that extend it at once each build a correct prefix.
@@ -31,10 +39,11 @@ _bernoulli_cache: tuple[Fraction, ...] = (Fraction(1), Fraction(-1, 2))
 
 
 def bernoulli(n: int) -> Fraction:
-    """Return the Bernoulli number B_n (convention B_1 = -1/2)."""
+    """Return the Bernoulli number B_n (convention B_1 = -1/2).  Raises
+    ValueError for n past _MAX_BERNOULLI, before any work."""
     global _bernoulli_cache
-    if n < 0:
-        raise ValueError(f"Bernoulli index must be >= 0, got {n}")
+    if not 0 <= n <= _MAX_BERNOULLI:
+        raise ValueError(f"Bernoulli index must be in [0, {_MAX_BERNOULLI}], got {n}")
     if n > 1 and n % 2 == 1:
         return Fraction(0)
     table = _bernoulli_cache

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import binomial, multinomial
-from .symexpr import Atom, EvenZeta, Expr, MZValue, _canon_color, lerch, mzv
+from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, mt_value, mzv
 
 __all__ = [
     "mt_convergent",
@@ -139,17 +139,13 @@ def mt_to_mzv(
     exponent is added to its first slot.
     """
     exps = tuple(exps)
-    if colors is None:
-        colors = (0,) * len(exps)
-    cols = tuple(_canon_color(c) for c in colors)
-    if len(exps) != len(cols):
-        raise ValueError("exponent/color length mismatch")
     if any(not isinstance(e, int) or e < 1 for e in exps):
         raise ValueError(f"exponents must be positive integers, got {exps}")
     check_mt_convergence(exps)
-
-    if len(exps) == 1:
-        return Expr.atom(lerch(exps[0], cols[0]))
+    atom = mt_value(exps, (0,) * len(exps) if colors is None else colors)
+    if not isinstance(atom, MTValue):  # one or two slots: phi
+        return Expr.atom(atom)
+    exps, cols = tuple(e.const for e in atom.exps), atom.colors
 
     k = len(exps) - 1
     weight = sum(exps)

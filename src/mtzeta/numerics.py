@@ -420,15 +420,13 @@ def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int, levels: di
     return st
 
 
-# 4,096 entries: one colored-characters case list fills 2,187, one for each
-# miss of _li_half
-@functools.lru_cache(maxsize=1 << 12)
-def _li_terms(word: tuple, prec: int) -> tuple[int, Fraction | int]:
-    """(M, R) of _li_half(word, prec): R the smallest letter modulus, M the
-    terms per level.  Raises ValueError when M times the depth passes
-    _MAX_TERMS."""
-    d = len(word) - word.count(0)
-    R = min(map(_modulus, set(word) - {0}))
+# 1,024 entries: words of one depth over one alphabet share an entry
+@functools.lru_cache(maxsize=1 << 10)
+def _li_terms(letters: frozenset, d: int, prec: int) -> tuple[int, Fraction | int]:
+    """(M, R) of _li_half at prec for a word of d letters other than 0, each
+    one of ``letters``: R the smallest letter modulus, M the terms per
+    level.  Raises ValueError when M times d passes _MAX_TERMS."""
+    R = min(map(_modulus, letters))
     # the floor, 4d + 16 rounded up to a power of two, keeps rho < 1; a
     # power of two, so that the deep cuts of one evaluation share levels
     M = max(math.ceil((prec + 24) / math.log2(R)), 1 << (4 * d + 15).bit_length())
@@ -464,7 +462,7 @@ def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
         return (1 << F, 0.0)
     exps = _word_to_exponents(word)
     d, e0 = len(exps), exps[0]
-    M, R = _li_terms(word, prec)
+    M, R = _li_terms(frozenset(word) - {0}, d, prec)
     levels = _split_levels.get()
     re, im, deferred, err = _inner_levels(word, exps, M, F, {} if levels is None else levels)
     m, trunc = M + 1, math.inf
@@ -520,11 +518,11 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
     prec = cfg.precision_bits + _GUARD_BITS
     F = prec + _LI_GUARD_BITS
     one = 1 << F
-    word, G = [], Fraction(0)  # None for the letter 0, else G for e(G)
-    for s, h in zip(exps, cols):
+    Gs, G = [], Fraction(0)  # G_j of the letter e(G_j) that ends slot j
+    for h in cols:
         G = _canon_color(G - h) if h else G
-        word += [None] * (s - 1) + [G]
-    colors = set(word) - {None, 0}
+        Gs.append(G)
+    colors = set(Gs) - {0}
     r = min((_modulus((1, c, True)) for c in colors), default=1)
     if r == 0:
         raise ValueError("a color this close to 0 is beyond the term budget")
@@ -532,12 +530,19 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
     lq, lp = (1 if x == 2 else _Letter(x, 0, False) for x in (q, p))
     ql = {c: _Letter(q, c, True) for c in colors}
     pl = {c: _Letter(p, c, False) for c in colors}
+    # every cut's factor is a suffix of lw reversed or of rw, so it has no
+    # more letters and no smaller modulus: these two bound all the work.
+    # Both are checked from the exponents, before the word (as long as the
+    # weight) is built: lw has a letter per zero of the word and per colored
+    # letter, rw one per slot.
+    zeros = sum(exps) - len(exps)
+    _li_terms(frozenset(ql.values()) | ({lq} if zeros else set()), zeros + len(Gs) - Gs.count(0), prec)
+    _li_terms(frozenset(pl.values()) | ({lp} if 0 in Gs else set()), len(Gs), prec)
+    word = []  # None for the letter 0, else G for e(G)
+    for s, G in zip(exps, Gs):
+        word += [None] * (s - 1) + [G]
     lw = tuple(lq if c is None else 0 if c == 0 else ql[c] for c in word)
     rw = tuple(0 if c is None else lp if c == 0 else pl[c] for c in word)
-    # every cut's factor is a suffix of lw reversed or of rw, so it has no
-    # more letters and no smaller modulus: these two bound all the work
-    for w in (lw[::-1], rw):
-        _li_terms(w, prec)
     re, im, bound = 0, 0, 0.0
     with _level_scope():
         for cut in range(len(word) + 1):

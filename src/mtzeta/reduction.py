@@ -69,18 +69,6 @@ class Identity:
         return eval_expr(self.lhs_expr() - self.rhs, z0, cfg)
 
 
-def _f_atom(
-    s: Sequence[int], subset: Sequence[int], alpha: Fraction, n: int
-) -> Atom:
-    """The z-carrying MT value of a subset term: slots are the exponents
-    outside the subset, then z, then the closing exponent n; only the z
-    slot is colored."""
-    rest = [s[j - 1] for j in range(1, len(s) + 1) if j not in subset]
-    exps = tuple(rest) + (Z, n)
-    colors = (Fraction(0),) * len(rest) + (alpha, Fraction(0))
-    return mt_value(exps, colors)
-
-
 def subset_reduction(
     s: Sequence[int], subset: Sequence[int], alpha: Fraction | int = 0
 ) -> Expr:
@@ -102,7 +90,7 @@ def subset_reduction(
         raise ValueError(f"subset {subset} is not a subset of 1..{k}")
     if any(e < 1 for e in s):
         raise ValueError("exponents must be positive")
-    return Expr(_subset_terms(s, subset, _canon_color(alpha), itertools.count(1)))
+    return Expr(_subset_terms(s, subset, alpha, itertools.count(1)))
 
 
 # Each visited index assignment costs the weight of s, since the binomials of
@@ -112,53 +100,64 @@ def subset_reduction(
 _MAX_WORK = 500_000
 
 
+def _part_factor(
+    part: tuple[int, ...], r: tuple[int, ...], closed: bool
+) -> tuple[int, list[Atom]]:
+    """The int factor and the atoms of one part with index vector r:
+    [C(top, s-1) + C(top, s-2r)] zeta(2r) per index, then, for a part that
+    closes with a number, the parity-filtered zeta(m) and the sign of the
+    part's last exponent.  The factor is 0 as soon as one vanishes, odd m
+    included."""
+    c, atoms = 1, []
+    for n_i, rv in enumerate(r, start=1):
+        # partial sum of r through rv itself: the coefficient
+        # index runs one ahead of the raw expansion's
+        top = sum(part[: n_i + 1]) - 2 * sum(r[:n_i]) - 1
+        c *= binomial(top, part[n_i] - 1) + binomial(top, part[n_i] - 2 * rv)
+        if not c:
+            return 0, atoms
+        atoms.append(EvenZeta(2 * rv))
+    if closed:
+        m = sum(part) - 2 * sum(r)
+        if m % 2:  # parity-filtered zeta vanishes
+            return 0, atoms
+        atoms.append(EvenZeta(m))
+        if part[-1] % 2:
+            c = -c
+    return c, atoms
+
+
 def _subset_terms(
-    s: tuple[int, ...], subset: tuple[int, ...], alpha: Fraction, visits: Iterator[int]
-) -> Iterator[tuple[list[Atom], Fraction]]:
+    s: tuple[int, ...], subset: tuple[int, ...], alpha: Fraction | int, visits: Iterator[int]
+) -> Iterator[tuple[list[Atom], int]]:
     """The (atoms, coefficient) terms of E(s, i, alpha).  ``visits`` is an
-    ``itertools.count`` shared by every subset of one identity."""
+    ``itertools.count`` shared by every subset of one identity.  The closing
+    MT value has the exponents outside the subset, then z, then the closing
+    number m of the last part; only the z slot is colored."""
     weight = sum(s)
     sub = tuple(s[j - 1] for j in subset)
     sign = -1 if sum(sub) % 2 else 1
+    rest = tuple(e for j, e in enumerate(s, start=1) if j not in subset)
+    colors = (0,) * len(rest) + (alpha, 0)
     for parts in enumerate_partitions(sub, PartitionKind.PRE_FAT):
         q = len(parts)
-        prefactor = Fraction(sign * 2 ** (len(subset) - q))
+        prefactor = sign * 2 ** (len(subset) - q)
         for assignment in index_assignments(parts, PartitionKind.PRE_FAT):
             if next(visits) * weight > _MAX_WORK:
                 raise ValueError(
                     f"reduction exceeded its budget of {_MAX_WORK} units"
                     " (index assignments times weight)"
                 )
-            coeff = prefactor
-            atoms: list[Atom] = []
-            dead = False
-            for pj, (part, r) in enumerate(zip(parts, assignment)):
-                for n_i, rv in enumerate(r, start=1):
-                    # partial sum of r through rv itself: the coefficient
-                    # index runs one ahead of the raw expansion's
-                    top = sum(part[: n_i + 1]) - 2 * sum(r[:n_i]) - 1
-                    c = binomial(top, part[n_i] - 1) + binomial(
-                        top, part[n_i] - 2 * rv
-                    )
-                    if c == 0:
-                        dead = True
-                        break
-                    coeff *= c
-                    atoms.append(EvenZeta(2 * rv))
-                if dead:
+            coeff, atoms = prefactor, []
+            for pj, (part, r) in enumerate(zip(parts, assignment), start=1):
+                c, part_atoms = _part_factor(part, r, pj < q)
+                coeff *= c
+                if not coeff:
                     break
-                if pj < q - 1:
-                    m = sum(part) - 2 * sum(r)
-                    if m % 2:  # parity-filtered zeta vanishes
-                        dead = True
-                        break
-                    if part[-1] % 2:
-                        coeff = -coeff
-                    atoms.append(EvenZeta(m))
-                else:
-                    m = sum(part) if len(part) == 1 else sum(part) - 2 * sum(r)
-                    atoms.append(_f_atom(s, subset, alpha, m))
-            if not dead:
+                atoms += part_atoms
+            else:
+                m = sum(parts[-1]) - 2 * sum(assignment[-1])
+                atoms.append(mt_value(rest + (Z, m), colors))
                 yield atoms, coeff
 
 
@@ -281,7 +280,6 @@ def depth2_identity(a: int, b: int, alpha: Fraction | int = 0) -> Identity:
 def quad_e2(n: int, alpha: Fraction | int = 0) -> Expr:
     """Size-2 subset term for four equal exponents:
     4 sum_r C(2n-2r-1, n-1) zeta(2r) MT(n, n, z, 2n-2r; 0,0,alpha,0)."""
-    alpha = _canon_color(alpha)
     return Expr(
         (
             (EvenZeta(2 * r), mt_value((n, n, Z, 2 * n - 2 * r), (0, 0, alpha, 0))),
@@ -294,7 +292,6 @@ def quad_e2(n: int, alpha: Fraction | int = 0) -> Expr:
 def quad_e3(n: int, alpha: Fraction | int = 0) -> Expr:
     """Size-3 subset term for four equal exponents.  Its parity-filtered
     zeta~(2n) is always even, so it is built as zeta(2n)."""
-    alpha = _canon_color(alpha)
     sgn = Fraction(-1 if n % 2 else 1)
 
     def terms():
@@ -318,7 +315,6 @@ def quad_e4(n: int, alpha: Fraction | int = 0) -> Expr:
     """Size-4 subset term for four equal exponents.  The parity filter is
     applied at construction: zeta~(2n) is built as zeta(2n), and the
     zeta~(3n-2mu) terms, which vanish for odd n, are built only for even n."""
-    alpha = _canon_color(alpha)
     sgn = Fraction(-1 if n % 2 else 1)
 
     def terms():

@@ -8,15 +8,17 @@ Atoms
 * ``MTValue(exps, colors)``: a Mordell-Tornheim value of depth >= 2; the
   last slot is the total-sum slot.  The first-depth slots are sorted, since
   the underlying series is symmetric under permuting them jointly with
-  their colors.  Depth-1 input collapses to a depth-1 ``MZValue``.
+  their colors.  Input of one slot, or of two (depth 1), collapses to
+  phi, the depth-1 ``MZValue``.
 * ``MZValue(exps, colors)``: a (colored) multiple zeta value; slots are
   ordered leading-first and never sorted.  Depth 1 is the periodic zeta
   phi(e; color) = sum over m >= 1 of e(color*m)/m^e, printed ``phi(e; c)``
   and serialized as type "lerch".  Its trivial-color even-integer form is
   ``EvenZeta``, and the constructor rejects it.
 
-Build atoms with ``lerch`` (phi), ``mt_value`` and ``mzv``: they
-canonicalize colors, sort MT slots and collapse low depths.
+Build atoms with ``lerch`` (phi), ``mt_value`` and ``mzv``: they check
+and canonicalize their slots in one function (``_slots``), and
+``mt_value`` sorts the head slots and collapses one or two slots to phi.
 
 Colors are rationals reduced mod 1 by ``_canon_color``, the one place in
 the package that reduces a color; color 0 is the trivial phase.
@@ -93,14 +95,6 @@ class AffineExp:
 Z = AffineExp(0, True)
 
 
-def as_exp(v: Union[int, AffineExp]) -> AffineExp:
-    if isinstance(v, AffineExp):
-        return v
-    if isinstance(v, Integral):
-        return AffineExp(int(v))
-    raise TypeError(f"exponent slot needs an integer or AffineExp, got {v!r}")
-
-
 def _canon_color(c: Union[int, Fraction]) -> Fraction:
     return Fraction(c) % 1
 
@@ -136,53 +130,47 @@ class EvenZeta:
 
 
 @dataclass(frozen=True)
-class MTValue:
+class _Slotted:
+    """The body of MTValue and MZValue: one exponent and one color per slot.
+    Each class sets TAG, which leads its key, TYPE, its JSON type and
+    printed name (phi at depth 1), and ``depth``.  Equality is per class."""
+
     exps: tuple[AffineExp, ...]
     colors: tuple[Fraction, ...]
 
     def key(self) -> tuple:
         return (
-            4,
+            self.TAG,
             len(self.exps),
             tuple(e.key() for e in self.exps),
             self.colors,
         )
+
+    def __str__(self) -> str:
+        args = ",".join(str(e) for e in self.exps)
+        cols = ",".join(str(c) for c in self.colors)
+        return f"{self.TYPE if self.depth > 1 else 'phi'}({args}; {cols})"
+
+
+class MTValue(_Slotted):
+    TAG, TYPE = 4, "mt"
 
     @property
     def depth(self) -> int:
         return len(self.exps) - 1
 
-    def __str__(self) -> str:
-        args = ",".join(str(e) for e in self.exps)
-        cols = ",".join(str(c) for c in self.colors)
-        return f"mt({args}; {cols})"
-
 
 @dataclass(frozen=True)
-class MZValue:
-    exps: tuple[AffineExp, ...]
-    colors: tuple[Fraction, ...]
+class MZValue(_Slotted):
+    TAG, TYPE = 3, "mzv"
 
     def __post_init__(self) -> None:
         if len(self.exps) == 1 and not self.colors[0] and _even_integer(self.exps[0]):
             raise ValueError(f"trivial-color phi at {self.exps[0]} is EvenZeta")
 
-    def key(self) -> tuple:
-        return (
-            3,
-            len(self.exps),
-            tuple(e.key() for e in self.exps),
-            self.colors,
-        )
-
     @property
     def depth(self) -> int:
         return len(self.exps)
-
-    def __str__(self) -> str:
-        args = ",".join(str(e) for e in self.exps)
-        cols = ",".join(str(c) for c in self.colors)
-        return f"phi({args}; {cols})" if len(self.exps) == 1 else f"mzv({args}; {cols})"
 
 
 Atom = Union[EvenZeta, MTValue, MZValue]
@@ -196,30 +184,41 @@ def _even_integer(e: AffineExp) -> bool:
     return not e.has_z and isinstance(e.const, Integral) and e.const % 2 == 0
 
 
+def _slots(
+    exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
+) -> tuple[tuple[AffineExp, ...], tuple[Fraction, ...]]:
+    """The checked slots of an atom: exponents as AffineExp (an integer n
+    as AffineExp(n)), colors reduced mod 1, at least one slot and at most
+    one z."""
+    for e in exps:
+        if not isinstance(e, (AffineExp, Integral)):
+            raise TypeError(f"exponent slot needs an integer or AffineExp, got {e!r}")
+    es = tuple(e if isinstance(e, AffineExp) else AffineExp(int(e)) for e in exps)
+    cs = tuple(_canon_color(c) for c in colors)
+    if len(es) != len(cs):
+        raise ValueError("exponent/color length mismatch")
+    if not es:
+        raise ValueError("an atom needs at least one slot")
+    if sum(e.has_z for e in es) > 1:
+        raise ValueError("at most one slot may carry z")
+    return es, cs
+
+
 def lerch(exp: Union[int, AffineExp], color: Union[int, Fraction]) -> Atom:
-    """phi(exp; color), the depth-1 MZV; trivial-color even-integer
-    exponents canonicalize to EvenZeta."""
-    e = as_exp(exp)
-    c = _canon_color(color)
-    if c == 0 and _even_integer(e):
-        return EvenZeta(e.const)
-    return MZValue((e,), (c,))
+    """phi(exp; color), the depth-1 MZV."""
+    return mzv((exp,), (color,))
 
 
 def mt_value(
     exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
-    """MT atom with slot canonicalization; depth 1 collapses to lerch."""
-    es = tuple(as_exp(e) for e in exps)
-    cs = tuple(_canon_color(c) for c in colors)
-    if len(es) != len(cs):
-        raise ValueError("exponent/color length mismatch")
-    if len(es) < 2:
-        raise ValueError("an MT value needs at least two slots")
-    if sum(e.has_z for e in es) > 1:
-        raise ValueError("at most one slot may carry z")
+    """MT atom with sorted head slots; one slot is phi, and two slots
+    MT(s; t) = phi(s + t)."""
+    es, cs = _slots(exps, colors)
     if len(es) == 2:
-        return lerch(es[0] + es[1], cs[0] + cs[1])
+        es, cs = (es[0] + es[1],), (cs[0] + cs[1],)
+    if len(es) == 1:
+        return mzv(es, cs)
     head = sorted(zip(es[:-1], cs[:-1]), key=lambda p: (p[0].key(), p[1]))
     es = tuple(e for e, _ in head) + (es[-1],)
     cs = tuple(c for _, c in head) + (cs[-1],)
@@ -229,17 +228,10 @@ def mt_value(
 def mzv(
     exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
-    """Colored MZV atom; depth 1 goes through lerch."""
-    es = tuple(as_exp(e) for e in exps)
-    cs = tuple(_canon_color(c) for c in colors)
-    if len(es) != len(cs):
-        raise ValueError("exponent/color length mismatch")
-    if len(es) == 0:
-        raise ValueError("empty MZV")
-    if sum(e.has_z for e in es) > 1:
-        raise ValueError("at most one slot may carry z")
-    if len(es) == 1:
-        return lerch(es[0], cs[0])
+    """Colored MZV atom; a trivial-color even-integer phi is EvenZeta."""
+    es, cs = _slots(exps, colors)
+    if len(es) == 1 and not cs[0] and _even_integer(es[0]):
+        return EvenZeta(es[0].const)
     return MZValue(es, cs)
 
 
@@ -360,9 +352,7 @@ def _substitute_atom(a: Atom, z0: Any) -> Atom:
     if not atom_has_z(a):
         return a
     exps = tuple(e.substitute(z0) for e in a.exps)
-    if len(exps) == 1:  # an MT value has three slots or more
-        return lerch(exps[0], a.colors[0])
-    return type(a)(exps, a.colors)
+    return mzv(exps, a.colors) if isinstance(a, MZValue) else MTValue(exps, a.colors)
 
 
 def _term_sort_key(atoms: TermKey) -> tuple:
@@ -386,15 +376,9 @@ def atom_to_json(a: Atom) -> dict:
         return {"type": "even_zeta", "n": a.n}
     if isinstance(a, MZValue) and len(a.exps) == 1:
         return {"type": "lerch", "exp": _exp_json(a.exps[0]), "color": _frac_str(a.colors[0])}
-    if isinstance(a, MTValue):
+    if isinstance(a, _Slotted):
         return {
-            "type": "mt",
-            "exps": [_exp_json(e) for e in a.exps],
-            "colors": [_frac_str(c) for c in a.colors],
-        }
-    if isinstance(a, MZValue):
-        return {
-            "type": "mzv",
+            "type": a.TYPE,
             "exps": [_exp_json(e) for e in a.exps],
             "colors": [_frac_str(c) for c in a.colors],
         }

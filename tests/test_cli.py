@@ -377,9 +377,24 @@ def test_determinism_and_exit1():
         rc, _, err = run_cli(*argv)
         assert rc == 1, argv
         assert "usage" in err and "Traceback" not in err, argv
-    # a finite z too large for the kernels is a domain error, not a crash
-    rc, _, err = run_cli("eval", "--s", "2,2", "--z", "1e300")
-    assert rc == 2 and "domain error" in err and "Traceback" not in err, err
+    # a finite z too large for the kernels is a domain error, not a crash:
+    # the budgets refuse before the work, so a child that caps its own
+    # address space at 1 GiB before importing mtzeta answers within seconds
+    capped = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from mtzeta.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    for argv in (
+        ("eval", "--s", "2,2", "--z", "1e300"),
+        ("eval", "--s", "2", "--z", "2000"),
+        ("eval", "--s", "2", "--z", "1e300"),
+        ("eval", "--s", "3", "--z", "1e9"),
+        ("eval", "--s", "3", "--z", "1e17"),
+        ("verify", "--s", "1,1", "--z", "1e9"),
+        ("bern-expand", "--s", "2000,1"),
+    ):
+        rc, _, err = run_python("-c", capped, *argv, timeout=10)
+        assert rc == 2 and "domain error:" in err and "Traceback" not in err, (argv, err)
 
 
 def test_mutually_exclusive_alpha_chi():

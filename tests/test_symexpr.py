@@ -56,6 +56,9 @@ def test_mt_depth1_collapses_to_lerch():
     assert a == MZValue((AffineExp(5),), (Fraction(5, 6),))
     trivial = mt_value((2, 2), (0, 0))
     assert trivial == EvenZeta(4)
+    # one slot is phi itself, as for mzv
+    for e, c in ((5, Fraction(4, 3)), (Z.shift(2), Fraction(1, 2)), (4, 0), (3, 0)):
+        assert mt_value((e,), (c,)) == lerch(e, c) == mzv((e,), (c,))
 
 
 def test_mt_slot_symmetry():
