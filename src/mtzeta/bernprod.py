@@ -79,6 +79,7 @@ def naive_product(s: Sequence[int]) -> BernCombo:
     """
     if len(s) < 1 or any(e < 1 for e in s):
         raise ValueError(f"need positive integer exponents, got {s}")
+    bernoulli(sum(s))  # the top degree's: past the limit, refuse before the table grows
     poly = [Fraction(1)]
     for e in s:
         poly = _poly_mul(poly, bernoulli_poly(e))
@@ -104,6 +105,8 @@ def carlitz_product(s1: int, s2: int) -> BernCombo:
     if s1 < 1 or s2 < 1:
         raise ValueError("exponents must be >= 1")
     w = s1 + s2
+    # B_w first, the largest index: past the limit, refuse before the table grows
+    const = -((-1) ** s2) * Fraction(factorial(s1) * factorial(s2), factorial(w)) * bernoulli(w)
     terms: dict[int, Fraction] = {}
     for r in range(max(s1, s2) // 2 + 1):
         b2r = bernoulli(2 * r)
@@ -112,7 +115,6 @@ def carlitz_product(s1: int, s2: int) -> BernCombo:
         coeff = Fraction(comb(s1, 2 * r) * s2 + comb(s2, 2 * r) * s1) * b2r / (w - 2 * r)
         if coeff:
             terms[w - 2 * r] = terms.get(w - 2 * r, Fraction(0)) + coeff
-    const = -((-1) ** s2) * Fraction(factorial(s1) * factorial(s2), factorial(w)) * bernoulli(w)
     return BernCombo.build(terms, const)
 
 
@@ -132,7 +134,8 @@ def expand_by_subsets(s: Sequence[int]) -> BernCombo:
     as 0 when any component is negative.  Slot i allows the 2 + s_i // 2
     indices j <= 1 or even, so the (subset, j) pairs number at most
     prod (3 + s_i // 2); past _MAX_SUBSET_PAIRS it raises ValueError
-    before the sum starts.
+    before the sum starts, as it does when the largest Bernoulli index
+    used, the largest even index <= max(s), passes the limit.
     """
     s = tuple(s)
     t = len(s)
@@ -141,6 +144,7 @@ def expand_by_subsets(s: Sequence[int]) -> BernCombo:
     pairs = prod(3 + e // 2 for e in s)
     if pairs > _MAX_SUBSET_PAIRS:
         raise ValueError(f"{pairs} (subset, index) pairs exceed the budget of {_MAX_SUBSET_PAIRS}")
+    bernoulli(max(s) // 2 * 2)  # the largest index used: refuse before the table grows
     w = sum(s)
     s_fact = 1
     for e in s:
@@ -234,16 +238,21 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
     The pre-fat sum contributes B_m(x) terms (the last part supplies the
     polynomial factor, every earlier part a Bernoulli-number factor); the
     fat sum, where every part closes with a number, contributes the
-    constant.
+    constant.  The largest Bernoulli index used is |s|, the closing number
+    of the one-part fat partition: past the limit, it raises ValueError
+    after the partition budgets and before the sums.
     """
     s = tuple(s)
     if len(s) < 2 or any(e < 1 for e in s):
         raise ValueError("need at least two positive integer exponents")
+    pre_fat = enumerate_partitions(s, PartitionKind.PRE_FAT)
+    fat = enumerate_partitions(s, PartitionKind.FAT)
+    bernoulli(sum(s))  # the largest index used: refuse before the table grows
 
     terms: dict[int, Fraction] = {}
     constant = Fraction(0)
 
-    for parts in enumerate_partitions(s, PartitionKind.PRE_FAT):
+    for parts in pre_fat:
         for assignment in index_assignments(parts, PartitionKind.PRE_FAT):
             coeff = _closed_parts_factor(parts[:-1], assignment[:-1])
             if not coeff:
@@ -255,7 +264,7 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
             m = sum(last) if len(last) == 1 else sum(last) - 2 * sum(r_last)
             terms[m] = terms.get(m, Fraction(0)) + coeff
 
-    for parts in enumerate_partitions(s, PartitionKind.FAT):
+    for parts in fat:
         for assignment in index_assignments(parts, PartitionKind.FAT):
             constant += _closed_parts_factor(parts, assignment)
 

@@ -29,7 +29,7 @@ from .bernprod import carlitz_product, expand_by_partitions, expand_by_subsets, 
 from .dirichlet import character_identities, enumerate_characters, gauss_sum, mt_l_value
 from .exact import _MAX_BERNOULLI
 from .mzvconvert import mt_to_mzv
-from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, _RND, EvalConfig, _mag, _parts, lerch_phi, mt_direct, mt_via_mzv
+from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, EvalConfig, _assemble, _mag, _parts, lerch_phi, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
 from .symexpr import _canon_color, _frac_str, atom_to_json, expr_to_json
@@ -322,19 +322,12 @@ def _cmd_verify(args) -> int:
         chi = _resolve_character(args.chi)
         # a non-coprime n has weight exactly 0: its member is not built
         fam = character_identities(args.s, chi, cfg, coprime_only=True)
-        total, bound = (libmp.fzero, libmp.fzero), 0.0
-        for w, ident in fam:
-            r = ident.residual(z0, cfg)
-            wv, rv = _parts(w.value, _VERIFY_BITS), _parts(r.value, _VERIFY_BITS)
-            total = libmp.mpc_add(total, libmp.mpc_mul(wv, rv, _VERIFY_BITS, _RND), _VERIFY_BITS, _RND)
-            wm, rm = _mag(wv, _VERIFY_BITS), _mag(rv, _VERIFY_BITS)
-            bound += wm * r.bound + rm * w.bound + w.bound * r.bound
-        residual = _mag(total, _VERIFY_BITS)
+        r = _assemble(((1, (w, ident.residual(z0, cfg))) for w, ident in fam), _VERIFY_BITS)
     else:
         ident = _identity_for(args)
         r = ident.residual(z0, cfg)
-        residual = _mag(_parts(r.value, _VERIFY_BITS), _VERIFY_BITS)
-        bound = r.bound
+    residual = _mag(_parts(r.value, _VERIFY_BITS), _VERIFY_BITS)
+    bound = r.bound
     ok = residual <= bound + tol
     payload = {
         "schema": SCHEMA,

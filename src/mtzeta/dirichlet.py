@@ -31,6 +31,7 @@ from .numerics import (
     EvalResult,
     _GUARD_BITS,
     _RND,
+    _assemble,
     _e_of,
     _eps,
     _mag,
@@ -45,6 +46,7 @@ __all__ = [
     "unit_group",
     "enumerate_characters",
     "gauss_sum",
+    "fourier_weights",
     "mt_l_value",
     "character_identities",
 ]
@@ -215,10 +217,31 @@ def gauss_sum(chi: DirichletCharacter, cfg: EvalConfig = DEFAULT_CONFIG) -> Eval
     return EvalResult(mp.make_mpc(total), 8 * f * _eps(prec))
 
 
-def _inverse_error(t: EvalResult, prec: int) -> float:
-    """Error of 1/t given t's bound: |d(1/t)| <= err / (|t| (|t| - err))."""
-    tm = _mag(_parts(t.value, prec), prec)
-    return t.bound / (tm * max(tm - t.bound, 1e-300))
+def fourier_weights(
+    chi: DirichletCharacter, cfg: EvalConfig = DEFAULT_CONFIG
+) -> list[Optional[EvalResult]]:
+    """The weights w_1..w_f of chi(m) = sum_n w_n e(nm/f) for a primitive
+    chi, w_n = conj(chi)(n)/tau(conj chi); None where gcd(n, f) > 1.  Each
+    is e(-angle(n)) times 1/tau, bounded by |e(.)| |d(1/tau)| = |d(1/tau)|
+    plus 8 eps |w_n| for its roundings: 1/tau within eps/2 relative, e(.)
+    within 3 eps (numerics._e_of), the product within eps/2."""
+    if not chi.primitive:
+        raise ValueError(f"character index {chi.index} mod {chi.modulus} is not primitive")
+    prec = cfg.precision_bits + _GUARD_BITS
+    tau = gauss_sum(chi.conjugate(), cfg)
+    tv = _parts(tau.value, prec)
+    inv = libmp.mpc_mpf_div(libmp.fone, tv, prec, _RND)
+    tm = _mag(tv, prec)
+    inv_err = tau.bound / (tm * max(tm - tau.bound, 1e-300))  # |d(1/tau)|
+    out: list[Optional[EvalResult]] = []
+    for n in range(1, chi.modulus + 1):
+        a = chi.angle(n)
+        if a is None:
+            out.append(None)
+            continue
+        w = libmp.mpc_mul(_e_of(-a, prec), inv, prec, _RND)
+        out.append(EvalResult(mp.make_mpc(w), inv_err + 8 * _eps(prec) * _mag(w, prec)))
+    return out
 
 
 def mt_l_value(
@@ -228,52 +251,32 @@ def mt_l_value(
 ) -> EvalResult:
     """Character-twisted MT value assembled from colored values:
 
-        sum over j in prod [1..f_i] of prod_i chi_i(j_i)/tau(conj(chi_i))
-            * colored MT value at colors (j_1/f_1, ..., j_d/f_d).
+        sum over j in prod [1..f_i] of prod_i w_(j_i)(chi_i)
+            * colored MT value at colors (j_1/f_1, ..., j_d/f_d),
 
-    Requires every character primitive (the color bridge needs it); the
-    f-grid size is at most ``MAX_GRID``.
+    the w being the fourier_weights of each chi_i, combined by the same
+    _assemble as eval_expr.  Requires every character primitive (the color
+    bridge needs it); the f-grid size is at most ``MAX_GRID``.
     """
     exps = tuple(exps)
     if any(not isinstance(e, int) or e < 1 for e in exps):
         raise ValueError(f"assembly needs positive integer exponents, got {exps}")
     if len(chis) != len(exps):
         raise ValueError("need one character per slot")
-    for chi in chis:
-        if not chi.primitive:
-            raise ValueError(
-                f"character index {chi.index} mod {chi.modulus} is not primitive"
-            )
-    grid = 1
-    for chi in chis:
-        grid *= chi.modulus
+    weights = [fourier_weights(chi, cfg) for chi in chis]
+    grid = math.prod(chi.modulus for chi in chis)
     if grid > MAX_GRID:
         raise ValueError(f"f-grid of size {grid} exceeds budget {MAX_GRID}")
 
-    prec = cfg.precision_bits + _GUARD_BITS
-    taus = [gauss_sum(chi.conjugate(), cfg) for chi in chis]
-    inv_taus = [libmp.mpc_mpf_div(libmp.fone, _parts(t.value, prec), prec, _RND) for t in taus]
-    inv_tau_errs = [_inverse_error(t, prec) for t in taus]
+    def terms():
+        for jvec in itertools.product(*[range(1, chi.modulus + 1) for chi in chis]):
+            ws = [w[j - 1] for w, j in zip(weights, jvec)]
+            if None in ws:
+                continue
+            colors = [Fraction(j, chi.modulus) for chi, j in zip(chis, jvec)]
+            yield 1, ws + [eval_expr(Expr.atom(mt_value(exps, colors)), cfg=cfg)]
 
-    total, bound = (libmp.fzero, libmp.fzero), 0.0
-    for jvec in itertools.product(*[range(1, chi.modulus + 1) for chi in chis]):
-        angs = [
-            None if a is None else _canon_color(-a)
-            for a in (chi.angle(j) for chi, j in zip(chis, jvec))
-        ]
-        if any(a is None for a in angs):
-            continue
-        colors = [Fraction(j, chi.modulus) for chi, j in zip(chis, jvec)]
-        val = eval_expr(Expr.atom(mt_value(exps, colors)), cfg=cfg)
-        wt, wt_err = (libmp.fone, libmp.fzero), 0.0
-        for a, it, ie in zip(angs, inv_taus, inv_tau_errs):
-            wt = libmp.mpc_mul(wt, libmp.mpc_mul(_e_of(a, prec), it, prec, _RND), prec, _RND)
-            wt_err += ie  # relative errors add to first order
-        wmag = _mag(wt, prec)
-        v = _parts(val.value, prec)
-        total = libmp.mpc_add(total, libmp.mpc_mul(wt, v, prec, _RND), prec, _RND)
-        bound += wmag * val.bound + _mag(v, prec) * wmag * (wt_err + 8 * _eps(prec))
-    return EvalResult(mp.make_mpc(total), bound)
+    return _assemble(terms(), cfg.precision_bits + _GUARD_BITS)
 
 
 def character_identities(
@@ -284,24 +287,15 @@ def character_identities(
     coprime_only: bool = False,
 ) -> list[tuple[EvalResult, Identity]]:
     """The character-level cyclic-sum identity as a weighted family: for
-    n = 1..f the weight conj(chi)(n)/tau(conj(chi)) paired with the
-    color-n/f identity.  Their weighted sum is the character identity;
-    non-coprime n carry weight exactly zero, and with ``coprime_only``
-    their identities are not built and the family leaves them out."""
-    if not chi.primitive:
-        raise ValueError("character must be primitive")
-    f = chi.modulus
-    tau = gauss_sum(chi.conjugate(), cfg)
-    prec = cfg.precision_bits + _GUARD_BITS
+    n = 1..f the fourier_weights w_n paired with the color-n/f identity.
+    Their weighted sum is the character identity; non-coprime n carry
+    weight exactly zero, and with ``coprime_only`` their identities are
+    not built and the family leaves them out."""
     out = []
-    for n in range(1, f + 1):
-        a = chi.angle(n)
-        if a is None:
+    for n, w in enumerate(fourier_weights(chi, cfg), start=1):
+        if w is None:
             if coprime_only:
                 continue
             w = EvalResult(mpc(0), 0.0)
-        else:
-            wv = libmp.mpc_div(_e_of(_canon_color(-a), prec), _parts(tau.value, prec), prec, _RND)
-            w = EvalResult(mp.make_mpc(wv), _mag(wv, prec) * (_inverse_error(tau, prec) + 8 * _eps(prec)))
-        out.append((w, cyclic_sum_identity(s, Fraction(n, f))))
+        out.append((w, cyclic_sum_identity(s, Fraction(n, chi.modulus))))
     return out

@@ -149,6 +149,9 @@ def mt_to_mzv(
 
     k = len(exps) - 1
     weight = sum(exps)
+    # every layer costs at least one step
+    if weight - exps[-1] > _MAX_STEPS:
+        raise ValueError(f"rewriting needs {weight - exps[-1]} layers, over its budget of {_MAX_STEPS} key entries")
     # Colors travel as indices into `palette`, since small ints hash fast.
     palette = sorted(set(cols[:-1]))
     start = tuple(sorted((e - 1, palette.index(g)) for e, g in zip(exps, cols[:-1])))

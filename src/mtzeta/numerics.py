@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
 from operator import floordiv, rshift
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from mpmath import libmp, mp, mpc
 from mpmath.ctx_mp import MPContext
@@ -138,7 +138,10 @@ def _mag(z: tuple, prec: int) -> float:
 
 
 def _e_of(x: Fraction, prec: int) -> tuple:
-    """e(x) = exp(2 pi i x) for exact rational x as raw (re, im) at prec bits."""
+    """e(x) = exp(2 pi i x) for exact rational x as raw (re, im) at prec bits.
+    x is reduced mod 1 exactly first, so 2x in [0, 2) rounds to within
+    2^-prec whatever |x|: each part errs by at most pi + 1 units of 2^-prec."""
+    x = _canon_color(x)
     return libmp.mpf_cos_sin_pi(libmp.from_rational(2 * x.numerator, x.denominator, prec, _RND), prec, _RND)
 
 
@@ -769,15 +772,21 @@ def eval_expr(
                 raise ValueError(f"cannot evaluate {a}: {exc}") from exc
 
     prec = cfg.precision_bits + _GUARD_BITS
-    vals = {a: _parts(r.value, prec) for a, r in results.items()}
-    mags = {a: _mag(v, prec) for a, v in vals.items()}
+    return _assemble(((coeff, [results[a] for a in atoms]) for atoms, coeff in terms), prec)
+
+
+def _assemble(terms: Iterable[tuple[Fraction | int, Sequence[EvalResult]]], prec: int) -> EvalResult:
+    """sum coeff * prod(factors) over terms (coeff, factors) at prec bits, the
+    one routine that combines bounded values: a product x y errs by |x| db +
+    |y| da + da db, a term by |coeff| times that, and the sum's rounding by
+    8 eps |total|.  The value is an mpf when its imaginary part is 0."""
     total, bound = (libmp.fzero, libmp.fzero), 0.0
-    for atoms, coeff in terms:
+    for coeff, factors in terms:
         tv, tb = (libmp.fone, libmp.fzero), 0.0
-        for a in atoms:
-            rb = results[a].bound
-            tb = _mag(tv, prec) * rb + mags[a] * tb + tb * rb
-            tv = libmp.mpc_mul(tv, vals[a], prec, _RND)
+        for r in factors:
+            v = _parts(r.value, prec)
+            tb = _mag(tv, prec) * r.bound + _mag(v, prec) * tb + tb * r.bound
+            tv = libmp.mpc_mul(tv, v, prec, _RND)
         num, den = (libmp.from_int(x, prec, _RND) for x in (coeff.numerator, coeff.denominator))
         tv = libmp.mpc_div_mpf(libmp.mpc_mul_mpf(tv, num, prec, _RND), den, prec, _RND)
         total = libmp.mpc_add(total, tv, prec, _RND)

@@ -94,3 +94,36 @@ def test_partition_expansion_weight_homogeneous():
     combo = expand_by_partitions(s)
     for m in combo.terms:
         assert (sum(s) - m) % 2 == 0
+
+
+def test_every_route_refuses_before_the_table_grows():
+    # each route asks for its largest Bernoulli index first, so with a cold
+    # table (a fresh child) (2000, 1) is refused before B_976 is built
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mtzeta
+
+    child = (
+        "import time\n"
+        "from mtzeta import bernprod, exact\n"
+        "for name, call in [('subsets', lambda: bernprod.expand_by_subsets((2000, 1))),\n"
+        "                   ('partitions', lambda: bernprod.expand_by_partitions((2000, 1))),\n"
+        "                   ('carlitz', lambda: bernprod.carlitz_product(2000, 1)),\n"
+        "                   ('naive', lambda: bernprod.naive_product((2000, 1))),\n"
+        "                   ('integral', lambda: exact.product_integral((2000, 1)))]:\n"
+        "    t = time.perf_counter()\n"
+        "    try:\n"
+        "        call()\n"
+        "    except ValueError:\n"
+        "        print(name, time.perf_counter() - t, len(exact._bernoulli_cache))\n"
+    )
+    src = str(Path(mtzeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert [r[0] for r in rows] == ["subsets", "partitions", "carlitz", "naive", "integral"], out
+    for name, seconds, table in rows:
+        assert float(seconds) < 1 and int(table) == 2, (name, seconds, table)

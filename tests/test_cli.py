@@ -194,6 +194,43 @@ def test_outputs_match_recorded_digests(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == recorded[case], case
 
 
+def test_character_outputs_match_recorded_digests(capsys):
+    # sha256 of the stdout of one verb per --chi route: the assembled
+    # L-value, the weighted family and the weighted residual
+    recorded = {
+        "eval --s 2 --chi 4,1": "c9e96657cd35d2229ea1c68ee42fed9df2b016826d16e1d4a0f466b70bdaaafd",
+        "reduce --s 2,2 --chi 3,1": "f227d24ef39929df7ffed13a1c7e48f8a379781fe66b7c76ea1a9f3923a3f147",
+        "verify --s 2,2 --chi 5,2 --z 2 --tol 1e-6": "6d6acc84a095fb24025ea89b25b0cb56f9d41f9ebb963fcf25d79bfc662ab009",
+    }
+    for case, digest in recorded.items():
+        assert main(case.split()) == 0, case
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, case
+
+
+def test_huge_head_exponent_refused_at_once(capsys):
+    # a head exponent of 1e9 makes 1e9 shuffle layers, each at least one
+    # step of the conversion budget: it is refused before the first layer,
+    # whichever atom of the identity eval_expr meets first
+    from mtzeta.numerics import eval_expr
+    from mtzeta.symexpr import Expr
+
+    for argv in (["eval", "--s", "1,1000000000", "--z", "1"], ["verify", "--s", "1,1", "--z", "1e9"]):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        assert "domain error:" in capsys.readouterr().err
+    ident = reduction.cyclic_sum_identity((1, 1), 0)
+    refused = 0
+    for atom in (ident.lhs_expr() - ident.rhs).substitute(complex(1e9)).atoms():
+        start = time.perf_counter()
+        try:
+            eval_expr(Expr.atom(atom))
+        except ValueError:
+            refused += 1
+        assert time.perf_counter() - start < 1, atom
+    assert refused >= 3
+
+
 def test_public_names_have_callers():
     # every name a module exports is used somewhere outside its own tests:
     # in the package, the benchmark or the acceptance suite.  Only the

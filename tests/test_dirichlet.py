@@ -206,3 +206,32 @@ def test_verify_chi_builds_only_coprime_members(monkeypatch, capsys):
     assert main(["reduce", *argv]) == 0
     assert built == [Fraction(n, 8) for n in range(1, 9)]
     capsys.readouterr()
+
+
+def test_weights_and_l_value_cover_a_gauss_sum_error(monkeypatch):
+    # a Gauss sum off by 1e-6, within its bound of 1e-6, moves each weight
+    # e(-a)/tau by about 1e-6/|tau|^2; the weight bounds and the bound of
+    # mt_l_value must cover that, whatever |tau| = sqrt(f)
+    from mtzeta import dirichlet
+    from mtzeta.numerics import EvalResult
+
+    exact_gauss = dirichlet.gauss_sum
+
+    def perturbed(chi, cfg=EvalConfig()):
+        return EvalResult(mpc(exact_gauss(chi, cfg).value) + 1e-6, 1e-6)
+
+    monkeypatch.setattr(dirichlet, "gauss_sum", perturbed)
+    cfg = EvalConfig(precision_bits=128)
+    for f in (4, 5, 7, 8):
+        for chi in enumerate_characters(f):
+            if not chi.primitive:
+                continue
+            with mp.workprec(200):
+                tau = mpc(exact_gauss(chi.conjugate(), cfg).value)
+                for n, (w, _) in enumerate(character_identities((2, 2), chi, cfg), start=1):
+                    true_w = mp.conj(chi.value(n, 200)) / tau
+                    assert abs(mpc(w.value) - true_w) <= w.bound, (f, chi.index, n)
+            got = mt_l_value((2,), (chi,), cfg)
+            with mp.workprec(200):
+                true_l = sum(chi.value(a, 200) * mp.zeta(2, mp.mpf(a) / f) for a in range(1, f)) / f**2
+                assert abs(mpc(got.value) - true_l) <= got.bound, (f, chi.index)

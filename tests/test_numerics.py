@@ -988,3 +988,22 @@ def test_level_table_keys_on_precision():
     num._li_half.cache_clear()
     with num._level_scope():
         assert [[_raw(num._mzv_split(*w, cfg)) for w in words] for cfg in cfgs] == fresh
+
+
+def test_e_of_errs_by_a_few_units_whatever_the_argument():
+    # periodic.phi_em asks for e(alpha k) with alpha k up to q - 1, and
+    # gauss_sum for e(x) with x < 2; each part must stay within a few units
+    # of 2^-prec (pi + 1 in theory) however large x is
+    from mtzeta.numerics import _e_of
+
+    worst = 0.0
+    for prec in (80, 288):
+        for q in (3, 50, 500, 4999):
+            for k in range(1, q, max(1, q // 97)):
+                x = Fraction((q - 1) * k, q)
+                re, im = _e_of(x, prec)
+                with mp.workprec(prec + 64):
+                    ref = mp.expjpi(2 * mp.mpf(x.numerator) / x.denominator)
+                    err = max(abs(mp.mpf(re) - ref.real), abs(mp.mpf(im) - ref.imag))
+                    worst = max(worst, float(mp.ldexp(err, prec)))
+    assert worst <= 5, worst
