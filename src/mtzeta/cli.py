@@ -32,7 +32,7 @@ from .mzvconvert import mt_to_mzv
 from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, EvalConfig, _assemble, _mag, _parts, lerch_phi, mt_direct, mt_via_mzv
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
-from .symexpr import _canon_color, _frac_str, atom_to_json, expr_to_json
+from .symexpr import _canon_color, _canon_number, _frac_str, atom_to_json, expr_to_json
 
 SCHEMA = "mtzeta/1"
 # verify combines residuals at 53 bits, mpmath's default precision
@@ -73,15 +73,16 @@ def _chi_arg(text: str) -> tuple[int, int]:
     return mod, idx
 
 
-def _complex_arg(text: str) -> str:
-    """Checks a --z flag but keeps its text, which verify echoes."""
+def _complex_arg(text: str) -> tuple[str, Any]:
+    """A --z flag: its text, which verify echoes, and its value, an int when
+    it is integral (_canon_number), read here once."""
     try:
         z = parse_complex(text)
     except ValueError:
         z = complex(math.nan)
     if not cmath.isfinite(z):
         raise argparse.ArgumentTypeError(f"bad complex value {text!r}, need finite parts")
-    return text
+    return text, _canon_number(z)
 
 
 def _tol_arg(text: str) -> float:
@@ -109,20 +110,11 @@ def _precision_arg(text: str) -> int:
 def parse_complex(text: str) -> complex:
     """Accepts 'a', 'a+bi', 'a-bi', 'bi' with decimal components."""
     t = text.strip().replace(" ", "")
-    m = re.match(r"^([+-]?\d+(?:\.\d+)?)([+-]\d*(?:\.\d+)?)i$", t)
-    if m:
-        re_part = float(m.group(1))
-        imtxt = m.group(2)
-        if imtxt in ("+", "-"):
-            imtxt += "1"
-        return complex(re_part, float(imtxt))
-    m = re.match(r"^([+-]?\d*(?:\.\d+)?)i$", t)
-    if m:
-        imtxt = m.group(1) or "1"
-        if imtxt in ("+", "-"):
-            imtxt += "1"
-        return complex(0.0, float(imtxt))
-    return complex(float(t), 0.0)
+    m = re.match(r"^([+-]?\d+(?:\.\d+)?)([+-]\d*(?:\.\d+)?)i$", t) or re.match(r"^()([+-]?\d*(?:\.\d+)?)i$", t)
+    if not m:
+        return complex(float(t), 0.0)
+    im = m.group(2)  # a bare sign, or nothing, stands for 1
+    return complex(float(m.group(1) or 0), float(im + "1" if im in ("", "+", "-") else im))
 
 
 def _nstr_parts(value: Any, digits: int, cfg: EvalConfig) -> tuple[str, str]:
@@ -308,16 +300,12 @@ def _cmd_reduce(args) -> int:
     return 0
 
 
-def _z_value(args) -> complex:
-    if args.z is None:
-        raise ValueError("--z is required for a z-dependent target")
-    return parse_complex(args.z)
-
-
 def _cmd_verify(args) -> int:
     cfg = _cfg(args)
     tol = args.tol or 0.0
-    z0 = _z_value(args)
+    if args.z is None:
+        raise ValueError("--z is required for a z-dependent target")
+    z_text, z0 = args.z
     if args.chi:
         chi = _resolve_character(args.chi)
         # a non-coprime n has weight exactly 0: its member is not built
@@ -333,7 +321,7 @@ def _cmd_verify(args) -> int:
         "schema": SCHEMA,
         "kind": "verification",
         "s": list(args.s),
-        "z": str(args.z),
+        "z": z_text,
         "residual": residual,
         "bound": bound,
         "tol": tol,
@@ -349,31 +337,18 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _cfg(args)
     s = args.s
+    z = args.z[1] if args.z else None
+    exps = s if z is None else s + (z,)
     if args.chi:
         chi = _resolve_character(args.chi)
         ones = enumerate_characters(1)[0]
-        if args.z:
-            zc = parse_complex(args.z)
-            if zc.imag or zc.real != int(zc.real) or zc.real < 1:
-                raise ValueError(
-                    "character assembly needs a positive integer z"
-                )
-            exps = s + (int(zc.real),)
-        else:
-            exps = s
         chis = (ones,) * (len(exps) - 1) + (chi,)
-        result = mt_l_value(exps, chis, cfg)
+        result = mt_l_value(exps, chis, cfg)  # it refuses a z that is not a positive integer
         route = "character-assembly"
     else:
+        if z is not None and z.real < 1:
+            raise ValueError(f"Re(z) >= 1 required, got {z}")
         alpha = args.alpha if args.alpha is not None else Fraction(0)
-        if args.z:
-            z0 = parse_complex(args.z)
-            if z0.real < 1:
-                raise ValueError(f"Re(z) >= 1 required, got {z0}")
-            zv: Any = int(z0.real) if z0 == int(z0.real) else z0
-            exps = s + (zv,)
-        else:
-            exps = s
         colors = (Fraction(0),) * (len(exps) - 1) + (alpha,)
         if len(exps) == 1 or (len(exps) == 2 and not isinstance(exps[1], int)):
             # one head slot and a non-integer z: MT(s_1, z) = phi(s_1 + z)
@@ -468,7 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ValueError, TypeError, OverflowError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
+        # an int of over 30 digits, say an exponent from a huge --z, prints short
+        msg = re.sub(r"\d{31,}", lambda m: f"{m[0][:12]}...({len(m[0])} digits)", str(exc))
+        print(f"domain error: {msg}", file=sys.stderr)
         return 2
 
 

@@ -20,6 +20,7 @@ varying fastest.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from enum import Enum
 from typing import Iterator, Sequence
@@ -29,6 +30,7 @@ __all__ = [
     "enumerate_partitions",
     "index_bound",
     "index_assignments",
+    "count_index_assignments",
     "inflate",
 ]
 
@@ -90,19 +92,19 @@ def index_bound(part: Sequence[int], r_prefix: Sequence[int], i: int) -> int:
 
 def _part_index_vectors(part: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
     """All index vectors of the given length for one part, leftmost-fastest."""
-    vectors: list[tuple[int, ...]] = []
+    vectors: list[tuple[int, ...]] = [()]
+    for i in range(1, count + 1):
+        vectors = [v + (r,) for v in vectors for r in range(index_bound(part, v, i) + 1)]
+    return sorted(vectors, key=lambda v: v[::-1])
 
-    def rec(prefix: tuple[int, ...]) -> None:
-        if len(prefix) == count:
-            vectors.append(prefix)
-            return
-        i = len(prefix) + 1
-        for r in range(index_bound(part, prefix, i) + 1):
-            rec(prefix + (r,))
 
-    rec(())
-    vectors.sort(key=lambda v: v[::-1])
-    return vectors
+def _index_lengths(parts: tuple[tuple[int, ...], ...], kind: PartitionKind) -> list[int]:
+    lengths = [len(part) - 2 for part in parts]
+    if kind is PartitionKind.PRE_FAT:
+        lengths[-1] += 1
+    if min(lengths) < 0:
+        raise ValueError(f"{parts} is not a {kind.value} partition")
+    return lengths
 
 
 def index_assignments(
@@ -120,16 +122,32 @@ def index_assignments(
     varies fastest.  Every emitted assignment satisfies
     ``0 <= r_{j,i} <= index_bound(part_j, r_j[:i-1], i)``.
     """
-    lengths = [len(part) - 2 for part in parts]
-    if kind is PartitionKind.PRE_FAT:
-        lengths[-1] += 1
-    if min(lengths) < 0:
-        raise ValueError(f"{parts} is not a {kind.value} partition")
-    per_part = [
-        _part_index_vectors(part, n) for part, n in zip(parts, lengths)
-    ]
+    per_part = [_part_index_vectors(part, n) for part, n in zip(parts, _index_lengths(parts, kind))]
     for combo in itertools.product(*reversed(per_part)):
         yield tuple(reversed(combo))
+
+
+def count_index_assignments(parts: tuple[tuple[int, ...], ...], kind: PartitionKind, cap: int) -> int:
+    """The number of assignments :func:`index_assignments` yields, counted
+    without building them: index_bound depends on an index vector's prefix
+    only through its sum, so each part's vectors are counted by prefix sum,
+    one index at a time.  The work stays within the count: past ``cap``
+    the count stops early and returns some number over cap."""
+    total = 1
+    for part, n in zip(parts, _index_lengths(parts, kind)):
+        by_sum, paths = {0: 1}, 1  # the vector's prefixes by their sum, and their number
+        for i in range(1, n + 1):
+            nxt, paths = collections.Counter(), 0
+            for acc, c in by_sum.items():
+                top = index_bound(part, (acc,), i)  # any prefix with sum acc
+                paths += c * (top + 1)
+                if total * paths > cap:
+                    return cap + 1
+                for r in range(top + 1):
+                    nxt[acc + r] += c
+            by_sum = nxt
+        total *= paths
+    return total
 
 
 def inflate(j: Sequence[int], positions: Sequence[int], t: int) -> tuple[int, ...]:

@@ -22,18 +22,19 @@ the int coefficients of e(n alpha) n^-z, so for every alpha and z at once.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .bernprod import _poly_mul
 from .exact import binomial, multinomial
 from .numerics import DEFAULT_CONFIG, EvalConfig, EvalResult, eval_expr
-from .partitions import PartitionKind, enumerate_partitions, index_assignments
+from .partitions import PartitionKind, count_index_assignments, enumerate_partitions, index_assignments
 from .symexpr import Atom, EvenZeta, Expr, Z, _canon_color, lerch, mt_value, mzv
 
 __all__ = [
@@ -90,14 +91,30 @@ def subset_reduction(
         raise ValueError(f"subset {subset} is not a subset of 1..{k}")
     if any(e < 1 for e in s):
         raise ValueError("exponents must be positive")
-    return Expr(_subset_terms(s, subset, alpha, itertools.count(1)))
+    _check_work(s, [subset], 1)
+    return Expr(_subset_terms(s, subset, alpha))
 
 
-# Each visited index assignment costs the weight of s, since the binomials of
-# its coefficient grow with the weight.  A visit without a term still counts,
-# so the budget bounds the enumeration, not only the output.  1^10 needs
-# 276,290 units and (3,3,3,3,3) 5,295.
+# Each index assignment costs the weight of s, since the binomials of its
+# coefficient grow with the weight, whether or not it makes a term.  1^10
+# needs 276,290 units, 1^11 997,161 and (3,3,3,3,3) 5,295.
 _MAX_WORK = 500_000
+
+
+def _check_work(s: tuple[int, ...], subsets: Iterable[tuple[int, ...]], n: int) -> None:
+    """Refuse, before any term is built, the index assignments of the n
+    given subsets of s past _MAX_WORK.  Each subset has one at least, so n
+    alone may pass it; else they are grouped by exponents and counted."""
+    allowed, count = _MAX_WORK // sum(s), n
+    if count <= allowed:
+        groups = collections.Counter(tuple(s[j - 1] for j in sub) for sub in subsets)
+        count = 0
+        for parts, mult in ((p, m) for sub, m in groups.items() for p in enumerate_partitions(sub, PartitionKind.PRE_FAT)):
+            count += mult * count_index_assignments(parts, PartitionKind.PRE_FAT, (allowed - count) // mult)
+            if count > allowed:
+                break
+    if count > allowed:
+        raise ValueError(f"reduction exceeded its budget of {_MAX_WORK} units (index assignments times weight)")
 
 
 def _part_factor(
@@ -128,13 +145,11 @@ def _part_factor(
 
 
 def _subset_terms(
-    s: tuple[int, ...], subset: tuple[int, ...], alpha: Fraction | int, visits: Iterator[int]
+    s: tuple[int, ...], subset: tuple[int, ...], alpha: Fraction | int
 ) -> Iterator[tuple[list[Atom], int]]:
-    """The (atoms, coefficient) terms of E(s, i, alpha).  ``visits`` is an
-    ``itertools.count`` shared by every subset of one identity.  The closing
-    MT value has the exponents outside the subset, then z, then the closing
+    """The (atoms, coefficient) terms of E(s, i, alpha).  The closing MT
+    value has the exponents outside the subset, then z, then the closing
     number m of the last part; only the z slot is colored."""
-    weight = sum(s)
     sub = tuple(s[j - 1] for j in subset)
     sign = -1 if sum(sub) % 2 else 1
     rest = tuple(e for j, e in enumerate(s, start=1) if j not in subset)
@@ -143,11 +158,6 @@ def _subset_terms(
         q = len(parts)
         prefactor = sign * 2 ** (len(subset) - q)
         for assignment in index_assignments(parts, PartitionKind.PRE_FAT):
-            if next(visits) * weight > _MAX_WORK:
-                raise ValueError(
-                    f"reduction exceeded its budget of {_MAX_WORK} units"
-                    " (index assignments times weight)"
-                )
             coeff, atoms = prefactor, []
             for pj, (part, r) in enumerate(zip(parts, assignment), start=1):
                 c, part_atoms = _part_factor(part, r, pj < q)
@@ -193,11 +203,11 @@ def cyclic_sum_identity(s: Sequence[int], alpha: Fraction | int = 0) -> Identity
     if any(not isinstance(e, int) or e < 1 for e in s):
         raise ValueError("exponents must be positive integers")
     alpha = _canon_color(alpha)
-    visits = itertools.count(1)
+    _check_work(s, _subsets(range(1, k + 1)), 2**k - k - 1)
     rhs = Expr(
         (atoms, -coeff if len(subset) % 2 else coeff)
         for subset in _subsets(range(1, k + 1))
-        for atoms, coeff in _subset_terms(s, subset, alpha, visits)
+        for atoms, coeff in _subset_terms(s, subset, alpha)
     )
     return Identity(_cyclic_lhs(s, alpha), rhs, s, alpha)
 

@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mtzeta
 from mtzeta import mzvconvert, reduction
@@ -205,6 +208,52 @@ def test_character_outputs_match_recorded_digests(capsys):
     for case, digest in recorded.items():
         assert main(case.split()) == 0, case
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, case
+
+
+def test_numeric_outputs_match_recorded_digests(capsys):
+    # sha256 of the stdout of eval and verify on integer and real z, recorded
+    # before --z was read once; no case puts a complex z in an MT slot, whose
+    # float64 sums may differ across numpy builds
+    recorded = {
+        "eval --s 2,2,2,2,2 --z 2 --precision-bits 192 --tol 1e-16": "cb16729169e1e2d734756226e6ce99e5f0e3369f65ff3ff46c0e2e03f0454b4b",
+        "verify --s 2,2,2,2,2 --z 2 --precision-bits 192 --tol 1e-16": "3ddd7ffb2f9b23592cabab7000e2218b19fca81a8c88abdb1ad8ace1dc4c36c5",
+        "eval --s 2,2,2,2 --z 2": "53083c83a35e9bd1ff1e6b206bb679a2c0bbbf785f59a5c6cdea88975ecbcf60",
+        "eval --s 2 --z 2.5 --alpha 1/3": "00cea9d3cc2c1446b78a373b082c1f51e42c410d2436c7af4a6909fbad65d426",
+        "verify --s 1,2,3 --alpha 1/3 --precision-bits 128 --tol 1e-6 --z 2": "bf166407e80ba19c0f973119882448e6f72700ea12d054b9ea3ef190e8ac21c1",
+        "verify --s 1,2,3 --alpha 1/3 --precision-bits 128 --tol 1e-6 --z 3": "a35ec46050722fe58f248244a6676d5ef1250305aecd6b14e759a7f1a3898620",
+    }
+    for case, digest in recorded.items():
+        assert main(case.split()) == 0, case
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, case
+
+
+def test_huge_z_refused_at_once_in_a_short_message(capsys):
+    # z = 1e300 makes a 301-digit exponent: the refusal comes before any
+    # work, and the message prints it as its leading digits and its length
+    for argv in (["eval", "--s", "2"], ["eval", "--s", "2,2"], ["verify", "--s", "2,2"]):
+        start = time.perf_counter()
+        assert main([*argv, "--z", "1e300"]) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and len(err.encode()) < 300, err
+        assert "...(301 digits)" in err, err
+
+
+def test_reduce_budget_refuses_twelve_ones_at_once():
+    # the identity's index assignments are counted from s before any is
+    # built: 3,589,740 units, refused without the seconds of enumeration
+    child = (
+        "import sys, time\n"
+        "from mtzeta.cli import main\n"
+        "start = time.perf_counter()\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(f'elapsed {time.perf_counter() - start:.3f}', file=sys.stderr)\n"
+        "sys.exit(rc)\n"
+    )
+    rc, out, err = run_python("-c", child, "reduce", "--s", ",".join(["1"] * 12), "--alpha", "1/3", timeout=30)
+    assert rc == 2 and not out, err
+    assert "reduction exceeded its budget of 500000 units" in err
+    assert float(err.split("elapsed ")[1]) < 1, err
 
 
 def test_huge_head_exponent_refused_at_once(capsys):
@@ -432,6 +481,69 @@ def test_determinism_and_exit1():
     ):
         rc, _, err = run_python("-c", capped, *argv, timeout=10)
         assert rc == 2 and "domain error:" in err and "Traceback" not in err, (argv, err)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the CLI grammar: every verb, --s of length 1-4 with entries
+    -1..5, colors and characters, z with Re z < 1, complex and huge, --tol
+    and --precision-bits at their limits.  At most one input is drawn
+    broken: an entry of s below 1, or a flag value past its limit or
+    malformed.  The top precision is drawn only at depth <= 2, and an
+    integer z only below depth 4: their identities take seconds to verify."""
+    verb = draw(st.sampled_from(["eval"] * 3 + ["verify"] * 3 + ["reduce"] * 2 + ["convert", "bern-expand", "partitions", "characters"]))
+    broken = draw(st.sampled_from([None] * 4 + ["s", "bits", "tol", "color", "z"]))
+    entries = st.integers(-1, 0) if broken == "s" else st.integers(1, 5)
+    s = draw(st.lists(st.integers(1, 5), min_size=0, max_size=3))
+    s.insert(draw(st.integers(0, len(s))), draw(entries))
+
+    def flag(name, key, valid, invalid):
+        v = draw(st.sampled_from(invalid if broken == key else [None, *valid]))
+        return [] if v is None else [name, v]
+
+    top = [str(_MAX_PRECISION_BITS)] if len(s) <= 2 else []
+    numeric = flag("--precision-bits", "bits", ["64", *top], ["63", str(_MAX_PRECISION_BITS + 1), "x"])
+    numeric += flag("--tol", "tol", ["0", "1e-6", "1e308"], ["-1e-300", "inf", "nan"])
+    fmt = flag("--format", "format", ["json", "text"], [])
+    if verb == "characters":
+        return [verb, "--mod", str(draw(st.integers(-1, 52))), *numeric, *fmt]
+    argv = [verb, "--s", ",".join(map(str, s)), *fmt]
+    if verb == "convert":
+        return argv + flag("--colors", "color", [",".join(["1/3"] * len(s))], ["1/2,abc"])
+    if verb == "partitions":
+        return argv + flag("--kind", "kind", ["fat", "pre-fat"], [])
+    if verb == "bern-expand":
+        return argv
+    color = draw(st.sampled_from(
+        [["--alpha", "1/0"], ["--chi", "4,a"], ["--chi", "4"]] if broken == "color" else
+        [[], ["--alpha", "1/3"], ["--alpha", "5/3"], ["--alpha", "0"], ["--alpha", "1/2"],
+         ["--chi", "4,1"], ["--chi", "5,2"], ["--chi", "8,3"], ["--chi", "3,1"], ["--chi", "4,0"], ["--chi", "4,7"]]
+    ))
+    argv += numeric + color
+    if verb != "reduce":
+        z = ["2.5", "1.5", "1+1i", "2-0.5i", "0.5", "-1", "3i", "1e300", *(["1", "2", "3"] if len(s) < 4 else [])]
+        argv += flag("--z", "z", z, ["inf", "nan", "abc", "1e400"])
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_argvs())
+def test_every_argv_reaches_a_documented_exit(argv):
+    # in-process, as a user would call main: an exception other than the
+    # parser's exit would fail this test with its traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    assert "Traceback" not in err.getvalue(), argv
+    if rc == 0 and "text" not in argv:
+        json.loads(out.getvalue())
+    # the identities are theorems: a failed verification is a wrong
+    # construction or an invalid bound
+    assert not (argv[0] == "verify" and rc == 3), (argv, out.getvalue())
 
 
 def test_mutually_exclusive_alpha_chi():

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from mtzeta.partitions import (
     PartitionKind,
+    count_index_assignments,
     enumerate_partitions,
     index_assignments,
     index_bound,
@@ -116,6 +117,21 @@ def test_index_count_per_part(s):
             for j, (part, r) in enumerate(zip(parts, a)):
                 expect = len(part) - 1 if j == len(parts) - 1 else len(part) - 2
                 assert len(r) == expect
+
+
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6), st.integers(min_value=0, max_value=60))
+def test_assignment_count_equals_enumeration(s, cap):
+    # the count builds no assignment; past its cap it only says "over"
+    for kind in PartitionKind:
+        if len(s) < 2 and kind is PartitionKind.FAT:
+            continue
+        for parts in enumerate_partitions(s, kind):
+            n = sum(1 for _ in index_assignments(parts, kind))
+            assert count_index_assignments(parts, kind, n) == n
+            got = count_index_assignments(parts, kind, cap)
+            assert got == n if n <= cap else got > cap
+    with pytest.raises(ValueError, match="not a fat partition"):
+        count_index_assignments(((1, 2), (3,)), PartitionKind.FAT, 10)
 
 
 def test_inflate():

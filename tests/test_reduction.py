@@ -1,13 +1,16 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from mpmath import mp
 
+from mtzeta import reduction
 from mtzeta.exact import binomial
 from mtzeta.mzvconvert import mt_to_mzv
 from mtzeta.numerics import EvalConfig, eval_expr
+from mtzeta.partitions import PartitionKind, enumerate_partitions, index_assignments
 from mtzeta.reduction import (
     cyclic_sum_identity,
     depth2_identity,
@@ -279,3 +282,43 @@ def test_rhs_atoms_have_lower_depth():
                     assert a.depth <= len(s) - 1
                 else:
                     assert isinstance(a, EvenZeta) or (isinstance(a, MZValue) and a.depth == 1)
+
+
+def _units(s, subsets=None):
+    # the index assignments of the subsets (by default every subset of size
+    # >= 2), built one by one, times the weight: what the budget charges
+    if subsets is None:
+        subsets = [c for size in range(2, len(s) + 1) for c in itertools.combinations(range(1, len(s) + 1), size)]
+    return sum(s) * sum(
+        1
+        for sub in subsets
+        for parts in enumerate_partitions(tuple(s[j - 1] for j in sub), PartitionKind.PRE_FAT)
+        for _ in index_assignments(parts, PartitionKind.PRE_FAT)
+    )
+
+
+@pytest.mark.parametrize("s", [(1,) * 5, (3, 3, 3, 3, 3), (1, 2, 3, 2), (4, 1, 4, 1, 2), (6, 1, 5)])
+def test_budget_refuses_exactly_past_the_count_before_any_term(monkeypatch, s):
+    # the count from s equals the assignments built; at that many units the
+    # identity or subset term is built, one fewer is refused before the
+    # first term
+    alpha, last = Fraction(1, 3), (2, len(s))
+    for units, build in ((_units(s), lambda: cyclic_sum_identity(s, alpha)), (_units(s, [last]), lambda: subset_reduction(s, last, alpha))):
+        monkeypatch.setattr(reduction, "_MAX_WORK", units)
+        build()
+        monkeypatch.setattr(reduction, "_MAX_WORK", units - 1)
+        with monkeypatch.context() as m:
+            m.setattr(reduction, "_subset_terms", lambda *_: pytest.fail("a term was built"))
+            with pytest.raises(ValueError, match="budget"):
+                build()
+
+
+def test_budget_counts_match_the_recorded_units():
+    # the figures of the _MAX_WORK comment; 1^11 and 1^12 are refused, 1^12
+    # by a count that stops at the budget
+    assert [_units(s) for s in ((1,) * 10, (3,) * 5)] == [276_290, 5_295]
+    for s in ((1,) * 11, (1,) * 12, (1,) * 40, (1000, 1000, 1000, 1000), (30_000, 1, 1)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="budget"):
+            cyclic_sum_identity(s, 0)
+        assert time.perf_counter() - start < 0.5, s
