@@ -45,6 +45,20 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads a token that begins with '-' as an option unless it
+        # is a plain negative number; after a flag that takes a value, such a
+        # token is that value, as in the FLAG=VALUE spelling, unless it is an
+        # option string of this parser (each verb's parser joins its own)
+        opts, argv = self._option_string_actions, []
+        for tok in sys.argv[1:] if args is None else args:
+            flag = argv[-1] if argv else None
+            if tok.startswith("-") and tok not in opts and flag in opts and opts[flag].nargs is None:
+                argv[-1] = f"{flag}={tok}"
+            else:
+                argv.append(tok)
+        return super().parse_known_args(argv, namespace)
+
 
 def _ints_arg(text: str) -> tuple[int, ...]:
     try:

@@ -40,10 +40,8 @@ result depends on the caller's mp.prec and no kernel takes a lock.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, islice
@@ -306,7 +304,7 @@ def _modulus(y) -> Fraction | int:
     return x * Fraction(math.floor(2 * math.sin(math.pi * g) * (1 - 2.0**-40) * 2**16), 2**16)
 
 
-# 1,024 entries: one colored-characters case list fills 23
+# 1,024 entries: one colored-characters case list (seed 7) fills 23
 @functools.lru_cache(maxsize=1 << 10)
 def _recip(y, F: int) -> tuple[int, int | None]:
     """1/y as ints (re, im) scaled by 2^F (im None if y is real), each one floor
@@ -350,80 +348,72 @@ def _telescope(tr: list[int], ti: list[int] | None, err: float, y, F: int):
     return outr, outi, False, err
 
 
-# Level states shared by the _li_half calls of one evaluation, keyed by (word
-# suffix from a letter, M, F), at most _LEVEL_STATES of them, the least
-# recently used dropped first.  The outermost eval_expr opens the table and
-# drops it when it returns (_level_scope); an _mzv_split outside any opens
-# its own.  With 64 states one colored-characters case list at 128 bits
-# telescopes 1,054 levels, against 1,035 with no limit.
-_LEVEL_STATES = 64
-_split_levels: ContextVar[dict | None] = ContextVar("_split_levels", default=None)
-
-
-@contextlib.contextmanager
-def _level_scope():
-    """Open a level table for the evaluation inside, unless one is open."""
-    if _split_levels.get() is not None:
-        yield
-        return
-    token = _split_levels.set({})
-    try:
-        yield
-    finally:
-        _split_levels.reset(token)
-
-
-def _keep(levels: dict, key: tuple, st: tuple) -> None:
-    """Store st as the most recent state of levels, dropping the least
-    recent one when the table is full."""
-    levels.pop(key, None)
-    if len(levels) >= _LEVEL_STATES:
-        del levels[next(iter(levels))]
-    levels[key] = st
-
-
 # 64 entries of M ints of e log2 M bits: one colored-characters case list
-# fills 31, one paper-decimals list 11
+# (seed 7) fills 31, one paper-decimals list 11
 @functools.lru_cache(maxsize=64)
 def _powers(e: int, M: int) -> tuple[int, ...]:
     """(1^e, 2^e, ..., M^e): the divisors of a level's terms."""
     return tuple(n**e for n in range(1, M + 1))
 
 
-def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int, levels: dict):
+# The split kernel's level states, one per (word suffix from a letter, M,
+# F), at most 64 of them, the least recently used dropped first.  A state
+# is fixed by its key, so it outlives the evaluation that built it.  It is
+# M + 1 ints of about F bits (two such lists if a letter is not real): 64
+# of them held 0.9 MB after verify --s 4,4,4,4 --alpha 1/3 at 128 bits and
+# 12 MB after verify --s 2,2,2 --alpha 1/3 at 958, the peak that one
+# evaluation reached when each evaluation had its own table.  The bound
+# counts states, not bytes: M, and so a state, grows as the smallest letter
+# modulus nears 1, up to the _MAX_TERMS budget.  _level only
+# hands out slots and never calls itself: _inner_levels builds each state
+# from the state inside it, which it holds, so a state that another thread
+# evicts between two calls costs one rebuild, not a recursion down the
+# word.  One colored-characters case list (seed 7, 128 bits) fills all 64
+# and telescopes 1,048 levels.
+@functools.lru_cache(maxsize=64)
+def _level(suffix: tuple, M: int, F: int) -> list:
+    """The slot of the level state of suffix at (M, F): empty until
+    _inner_levels puts the state in it."""
+    return []
+
+
+def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int):
     """State (re, im, deferred, err) of P(n) = sum_{n > n_2 > ... > n_d}
     prod_j y_j^-(n_j - n_(j+1)) prod_{j>=2} n_j^-e_j, n = 0..M, built level
-    by level from the longest suffix in ``levels``.  While every letter so
-    far is 2, P(n) = 2^-n re[n] is deferred, re is a plain prefix sum and
-    its error is at most err * n ulps at n; otherwise err is uniform."""
+    by level from the last letter: each level's state is read from its
+    _level slot, or built from the state inside it and kept there.  While
+    every letter so far is 2, P(n) = 2^-n re[n] is deferred, re is a plain
+    prefix sum and its error is at most err * n ulps at n; otherwise err is
+    uniform."""
     one = 1 << F
     at = [end - 1 for end in accumulate(exps)]  # where each letter sits
-    k = next((k for k, i in enumerate(at) if (word[i:], M, F) in levels), None)
-    if k is None:  # P(n) = y^-n for the last letter y
-        k, y = len(at) - 1, word[-1]
-        st = ([one] * (M + 1), None, True, 0) if y == 1 else _telescope([one, *[0] * (M - 1)], None, 0, y, F)
-    else:
-        st = levels[(word[at[k] :], M, F)]
-    _keep(levels, (word[at[k] :], M, F), st)
-    for j in range(k - 1, -1, -1):
-        re, im, deferred, err = st
-        e, y = exps[j + 1], word[at[j]]
-        pw = _powers(e, M)  # n^e at pw[n - 1]
-        if deferred and y == 1:
-            # new[m] = sum over n < m of re[n] // n^e: m - 1 floors, and
-            # errors err * n / n^e <= err, so (err + 1) m ulps in all
-            re = [0, 0, *accumulate(map(floordiv, islice(re, 1, M), pw))]
-            st = (re, None, True, err + 1)
+    for j in range(len(at) - 1, -1, -1):
+        slot = _level(word[at[j] :], M, F)
+        if slot:
+            st = slot[0]
+            continue
+        y = word[at[j]]
+        if j == len(at) - 1:  # P(n) = y^-n for the last letter y
+            st = ([one] * (M + 1), None, True, 0) if y == 1 else _telescope([one, *[0] * (M - 1)], None, 0, y, F)
         else:
-            if deferred:  # err * n / 2^n <= err / 2, and one floor
-                re, err = list(map(rshift, re, range(M + 1))), err / 2 + 1
-            tr, ti = ([0, *map(floordiv, islice(x, 1, M), pw)] if x else None for x in (re, im))
-            st = _telescope(tr, ti, err + 2, y, F)
-        _keep(levels, (word[at[j] :], M, F), st)
+            re, im, deferred, err = st
+            pw = _powers(exps[j + 1], M)  # n^e at pw[n - 1]
+            if deferred and y == 1:
+                # new[m] = sum over n < m of re[n] // n^e: m - 1 floors, and
+                # errors err * n / n^e <= err, so (err + 1) m ulps in all
+                re = [0, 0, *accumulate(map(floordiv, islice(re, 1, M), pw))]
+                st = (re, None, True, err + 1)
+            else:
+                if deferred:  # err * n / 2^n <= err / 2, and one floor
+                    re, err = list(map(rshift, re, range(M + 1))), err / 2 + 1
+                tr, ti = ([0, *map(floordiv, islice(x, 1, M), pw)] if x else None for x in (re, im))
+                st = _telescope(tr, ti, err + 2, y, F)
+        slot[:] = [st]  # another thread may have built the same state
     return st
 
 
-# 1,024 entries: words of one depth over one alphabet share an entry
+# 1,024 entries: words of one depth over one alphabet share an entry; one
+# colored-characters case list (seed 7) fills 118
 @functools.lru_cache(maxsize=1 << 10)
 def _li_terms(letters: frozenset, d: int, prec: int) -> tuple[int, Fraction | int]:
     """(M, R) of _li_half at prec for a word of d letters other than 0, each
@@ -438,16 +428,16 @@ def _li_terms(letters: frozenset, d: int, prec: int) -> tuple[int, Fraction | in
     return M, R
 
 
-# 16,384 entries: one colored-characters case list at 128 bits fills 2,188
+# 16,384 entries: one colored-characters case list (seed 7, 128 bits) fills
+# 2,188, one paper-decimals list 624
 @functools.lru_cache(maxsize=1 << 14)
 def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
     """L = sum_{n_1 > ... > n_d >= 1} prod_j y_j^-(n_j - n_(j+1)) / n_j^e_j,
     n_(d+1) = 0, for a word over 0 and letters y_j, |y_j| > 1, ending in a
     letter: 1 for y = 2 (a {0,1} word gives Li at 1/2), (x, g, dual) for
     y = x e(g), or x (1 - e(g)) if dual, g = 0 for another real y = x.
-    The levels come from the table of the evaluation it runs in (or a
-    fresh one outside any: _split_levels), which holds only values fixed
-    by the word, M and F, so the memo keys on (word, prec) alone.
+    Its levels come from _level, whose states are fixed by the suffix, M
+    and F, so the memo keys on (word, prec) alone.
     Returns (V, bound), V an int (ints (re, im) if a letter is not real),
     |L - V 2^-F| <= bound, F = prec + _LI_GUARD_BITS.  The sum stops at
     n_1 = M >= (prec + 24) / log2 R (_li_terms), R the smallest |y_j|; the
@@ -466,8 +456,7 @@ def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
     exps = _word_to_exponents(word)
     d, e0 = len(exps), exps[0]
     M, R = _li_terms(frozenset(word) - {0}, d, prec)
-    levels = _split_levels.get()
-    re, im, deferred, err = _inner_levels(word, exps, M, F, {} if levels is None else levels)
+    re, im, deferred, err = _inner_levels(word, exps, M, F)
     m, trunc = M + 1, math.inf
     rho = (1 + 1 / (m * (1 + math.log(m)))) ** (d - 1) / R
     if rho < 1:
@@ -547,17 +536,16 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
     lw = tuple(lq if c is None else 0 if c == 0 else ql[c] for c in word)
     rw = tuple(0 if c is None else lp if c == 0 else pl[c] for c in word)
     re, im, bound = 0, 0, 0.0
-    with _level_scope():
-        for cut in range(len(word) + 1):
-            left, right = lw[:cut][::-1], rw[cut:]
-            (lv, lb), (rv, rb) = _li_half(left, prec), _li_half(right, prec)
-            lr, li = lv if isinstance(lv, tuple) else (lv, 0)
-            rr, ri = rv if isinstance(rv, tuple) else (rv, 0)
-            sign = (-1) ** (len(exps) + cut + len(word) - left.count(0) - right.count(0))
-            re += sign * (lr * rr - li * ri)
-            im += sign * (lr * ri + li * rr)
-            lm, rm = math.hypot(lr / one, li / one), math.hypot(rr / one, ri / one)
-            bound += lm * rb + rm * lb + lb * rb
+    for cut in range(len(word) + 1):
+        left, right = lw[:cut][::-1], rw[cut:]
+        (lv, lb), (rv, rb) = _li_half(left, prec), _li_half(right, prec)
+        lr, li = lv if isinstance(lv, tuple) else (lv, 0)
+        rr, ri = rv if isinstance(rv, tuple) else (rv, 0)
+        sign = (-1) ** (len(exps) + cut + len(word) - left.count(0) - right.count(0))
+        re += sign * (lr * rr - li * ri)
+        im += sign * (lr * ri + li * rr)
+        lm, rm = math.hypot(lr / one, li / one), math.hypot(rr / one, ri / one)
+        bound += lm * rb + rm * lb + lb * rb
     value = mp.make_mpf(libmp.from_man_exp(re, -2 * F, prec, "n"))
     if im:
         value = mp.make_mpc((value._mpf_, libmp.from_man_exp(im, -2 * F, prec, "n")))
@@ -718,7 +706,8 @@ def _conjugate_twin(a: Atom) -> Atom | None:
     return (mzv if isinstance(a, MZValue) else mt_value)(a.exps, neg)
 
 
-# 4,096 entries: one colored-characters case list fills 715
+# 4,096 entries: one colored-characters case list (seed 7) fills 715, one
+# paper-decimals list 119
 @functools.lru_cache(maxsize=1 << 12)
 def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
     if isinstance(a, EvenZeta):
@@ -756,7 +745,8 @@ def eval_expr(
     distinct atom once, and combine with first-order error propagation.
 
     Per-atom failures are re-raised with the offending atom named.  The
-    outermost call opens the level table its splits share (_level_scope).
+    atoms are visited in key order, so that consecutive splits share the
+    level states of their word suffixes (_level).
     """
     if z0 is not None:
         e = e.substitute(z0)
@@ -764,12 +754,11 @@ def eval_expr(
     distinct = {a for atoms, _ in terms for a in atoms}
 
     results: dict[Atom, EvalResult] = {}
-    with _level_scope():
-        for a in distinct:
-            try:
-                results[a] = _eval_atom(a, cfg)
-            except ValueError as exc:
-                raise ValueError(f"cannot evaluate {a}: {exc}") from exc
+    for a in sorted(distinct, key=lambda a: a.key()):
+        try:
+            results[a] = _eval_atom(a, cfg)
+        except ValueError as exc:
+            raise ValueError(f"cannot evaluate {a}: {exc}") from exc
 
     prec = cfg.precision_bits + _GUARD_BITS
     return _assemble(((coeff, [results[a] for a in atoms]) for atoms, coeff in terms), prec)

@@ -486,44 +486,72 @@ def test_determinism_and_exit1():
 @st.composite
 def _argvs(draw):
     """An argv of the CLI grammar: every verb, --s of length 1-4 with entries
-    -1..5, colors and characters, z with Re z < 1, complex and huge, --tol
-    and --precision-bits at their limits.  At most one input is drawn
-    broken: an entry of s below 1, or a flag value past its limit or
-    malformed.  The top precision is drawn only at depth <= 2, and an
-    integer z only below depth 4: their identities take seconds to verify."""
+    -1..5 (a negative one may lead), colors and characters, negative
+    colors, z with Re z < 1, complex and huge, --tol and --precision-bits at
+    their limits, each flag spelled FLAG VALUE or FLAG=VALUE.  At most one
+    input is drawn broken: an entry of s below 1, or a flag value past its
+    limit or malformed.  The top precision is drawn only at depth <= 2, and
+    an integer z only below depth 4: their identities take seconds to
+    verify."""
     verb = draw(st.sampled_from(["eval"] * 3 + ["verify"] * 3 + ["reduce"] * 2 + ["convert", "bern-expand", "partitions", "characters"]))
     broken = draw(st.sampled_from([None] * 4 + ["s", "bits", "tol", "color", "z"]))
+    joined = draw(st.booleans())
     entries = st.integers(-1, 0) if broken == "s" else st.integers(1, 5)
     s = draw(st.lists(st.integers(1, 5), min_size=0, max_size=3))
     s.insert(draw(st.integers(0, len(s))), draw(entries))
 
+    def spell(name, v):
+        return [f"{name}={v}"] if joined else [name, v]
+
     def flag(name, key, valid, invalid):
         v = draw(st.sampled_from(invalid if broken == key else [None, *valid]))
-        return [] if v is None else [name, v]
+        return [] if v is None else spell(name, v)
 
     top = [str(_MAX_PRECISION_BITS)] if len(s) <= 2 else []
     numeric = flag("--precision-bits", "bits", ["64", *top], ["63", str(_MAX_PRECISION_BITS + 1), "x"])
     numeric += flag("--tol", "tol", ["0", "1e-6", "1e308"], ["-1e-300", "inf", "nan"])
     fmt = flag("--format", "format", ["json", "text"], [])
     if verb == "characters":
-        return [verb, "--mod", str(draw(st.integers(-1, 52))), *numeric, *fmt]
-    argv = [verb, "--s", ",".join(map(str, s)), *fmt]
+        return [verb, *spell("--mod", str(draw(st.integers(-1, 52)))), *numeric, *fmt]
+    argv = [verb, *spell("--s", ",".join(map(str, s))), *fmt]
     if verb == "convert":
-        return argv + flag("--colors", "color", [",".join(["1/3"] * len(s))], ["1/2,abc"])
+        return argv + flag("--colors", "color", [",".join([c] * len(s)) for c in ("1/3", "-1/3")], ["1/2,abc"])
     if verb == "partitions":
         return argv + flag("--kind", "kind", ["fat", "pre-fat"], [])
     if verb == "bern-expand":
         return argv
     color = draw(st.sampled_from(
-        [["--alpha", "1/0"], ["--chi", "4,a"], ["--chi", "4"]] if broken == "color" else
-        [[], ["--alpha", "1/3"], ["--alpha", "5/3"], ["--alpha", "0"], ["--alpha", "1/2"],
-         ["--chi", "4,1"], ["--chi", "5,2"], ["--chi", "8,3"], ["--chi", "3,1"], ["--chi", "4,0"], ["--chi", "4,7"]]
+        [("--alpha", "1/0"), ("--alpha", "-x"), ("--chi", "4,a"), ("--chi", "4")] if broken == "color" else
+        [None, ("--alpha", "1/3"), ("--alpha", "5/3"), ("--alpha", "0"), ("--alpha", "1/2"), ("--alpha", "-2/5"),
+         ("--chi", "4,1"), ("--chi", "5,2"), ("--chi", "8,3"), ("--chi", "3,1"), ("--chi", "4,0"), ("--chi", "4,7")]
     ))
-    argv += numeric + color
+    argv += numeric + (spell(*color) if color else [])
     if verb != "reduce":
-        z = ["2.5", "1.5", "1+1i", "2-0.5i", "0.5", "-1", "3i", "1e300", *(["1", "2", "3"] if len(s) < 4 else [])]
-        argv += flag("--z", "z", z, ["inf", "nan", "abc", "1e400"])
+        z = ["2.5", "1.5", "1+1i", "2-0.5i", "0.5", "-1", "-1+2i", "3i", "1e300", *(["1", "2", "3"] if len(s) < 4 else [])]
+        argv += flag("--z", "z", z, ["inf", "nan", "abc", "1e400", "-x"])
     return argv
+
+
+def _equals_spelling(argv):
+    """argv with every flag and its value as one FLAG=VALUE token: each flag
+    of the grammar takes a value."""
+    out = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
+def _run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -531,19 +559,38 @@ def _argvs(draw):
 def test_every_argv_reaches_a_documented_exit(argv):
     # in-process, as a user would call main: an exception other than the
     # parser's exit would fail this test with its traceback
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as exc:
-            rc = exc.code
+    rc, out, err = _run_main(argv)
     assert rc in (0, 1, 2, 3), (argv, rc)
-    assert "Traceback" not in err.getvalue(), argv
-    if rc == 0 and "text" not in argv:
-        json.loads(out.getvalue())
+    assert "Traceback" not in err, argv
+    if rc == 0 and "text" not in argv and "--format=text" not in argv:
+        json.loads(out)
     # the identities are theorems: a failed verification is a wrong
     # construction or an invalid bound
-    assert not (argv[0] == "verify" and rc == 3), (argv, out.getvalue())
+    assert not (argv[0] == "verify" and rc == 3), (argv, out)
+    # a value is read the same whichever way its flag is spelled
+    assert _run_main(_equals_spelling(argv))[:2] == (rc, out), argv
+
+
+def test_dash_values_read_as_in_the_equals_spelling():
+    # a value that begins with '-' but is not a plain negative number is
+    # that flag's value in either spelling; an option string stays an option
+    for argv, want in [
+        (["reduce", "--s", "1,1", "--alpha", "-2/5"], 0),
+        (["reduce", "--s", "-1,2"], 2),
+        (["reduce", "--s", "2,-1"], 2),
+        (["eval", "--s", "2,2", "--z", "-1+2i"], 2),
+        (["eval", "--s", "2,2", "--z", "-1"], 2),
+        (["convert", "--s", "2,2", "--colors", "-1/3,0"], 0),
+        (["eval", "--s", "2", "--z", "-x"], 1),
+    ]:
+        got = _run_main(argv)
+        assert got[0] == want, (argv, got)
+        assert _run_main(_equals_spelling(argv))[:2] == got[:2], argv
+    rc, out, _ = _run_main(["reduce", "--s", "1,1", "--alpha", "-2/5"])
+    assert json.loads(out)["alpha"] == "3/5"
+    for argv in (["reduce", "--s", "--alpha", "1/3"], ["reduce", "--s", "1,1", "--alpha", "-h"]):
+        rc, out, err = _run_main(argv)
+        assert rc == 1 and "expected one argument" in err and not out, argv
 
 
 def test_mutually_exclusive_alpha_chi():
