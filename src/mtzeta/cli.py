@@ -40,6 +40,9 @@ _VERIFY_BITS = 53
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # each flag has one spelling: no prefixes
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message: str) -> None:  # exit 1, not argparse's 2
         print(f"error: {message}", file=sys.stderr)
         self.print_usage(sys.stderr)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .exact import binomial, multinomial
-from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, mt_value, mzv
+from .symexpr import Atom, Expr, MTValue, MZValue, mt_value, mzv
 
 __all__ = [
     "mt_convergent",
@@ -145,7 +145,7 @@ def mt_to_mzv(
     atom = mt_value(exps, (0,) * len(exps) if colors is None else colors)
     if not isinstance(atom, MTValue):  # one or two slots: phi
         return Expr.atom(atom)
-    exps, cols = tuple(e.const for e in atom.exps), atom.colors
+    exps, cols = atom.exps, atom.colors
 
     k = len(exps) - 1
     weight = sum(exps)
@@ -193,11 +193,8 @@ def mt_to_mzv(
 
 
 def _check_conserved(atom: Atom, weight: int, depth: int) -> None:
-    if isinstance(atom, EvenZeta):
-        vals = [atom.n]
-    elif isinstance(atom, MZValue):
-        vals = [e.const for e in atom.exps]
-    else:  # pragma: no cover - rewriting emits only the above
+    # an MT value of depth >= 2 rewrites to MZVs of depth >= 2, never EvenZeta
+    if not isinstance(atom, MZValue):  # pragma: no cover
         raise AssertionError(f"unexpected atom {atom!r}")
-    assert sum(vals) == weight, "weight not conserved"
-    assert len(vals) == depth, "depth not conserved"
+    assert sum(atom.exps) == weight, "weight not conserved"
+    assert len(atom.exps) == depth, "depth not conserved"

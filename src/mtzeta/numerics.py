@@ -53,7 +53,7 @@ from mpmath.ctx_mp import MPContext
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
-from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, _canon_color, atom_has_z, mt_value, mzv
+from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, _by_key, _canon_color, mt_value, mzv
 
 __all__ = [
     "EvalConfig",
@@ -695,12 +695,12 @@ def mt_direct(
 
 def _conjugate_twin(a: Atom) -> Atom | None:
     """The atom with every color negated, whose value is the complex
-    conjugate of a's, for an MZV (phi at depth 1) or MT atom with int
+    conjugate of a's, for a z-free MZV (phi at depth 1) or MT atom with int
     exponents; None for EvenZeta or when every color is 0 or 1/2 (its own
     negative)."""
     if isinstance(a, EvenZeta) or all(c.denominator <= 2 for c in a.colors):
         return None
-    if not all(isinstance(e.const, int) for e in a.exps):
+    if not all(isinstance(e, int) for e in a.exps):
         return None
     neg = [-c for c in a.colors]
     return (mzv if isinstance(a, MZValue) else mt_value)(a.exps, neg)
@@ -712,29 +712,27 @@ def _conjugate_twin(a: Atom) -> Atom | None:
 def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
     if isinstance(a, EvenZeta):
         return even_zeta(a.n, cfg)
-    if atom_has_z(a):
+    if a.z_slot is not None:
         raise ValueError("unsubstituted z")
     # of a conjugate pair only the atom with the smaller key is evaluated;
     # the imaginary part is negated exactly (mp.conj would round it)
     twin = _conjugate_twin(a)
-    if twin is not None and twin.key() < a.key():
+    if twin is not None and twin.key < a.key:
         r = _eval_atom(twin, cfg)
         if isinstance(r.value, mpc):
             re, im = r.value._mpc_
             return EvalResult(mp.make_mpc((re, libmp.mpf_neg(im))), r.bound)
         return r
     if isinstance(a, MZValue):
-        exps = tuple(e.const for e in a.exps)
-        if len(exps) == 1:
-            return lerch_phi(exps[0], a.colors[0], cfg)
-        if not all(isinstance(e, int) for e in exps):
+        if len(a.exps) == 1:
+            return lerch_phi(a.exps[0], a.colors[0], cfg)
+        if not all(isinstance(e, int) for e in a.exps):
             raise ValueError(f"MZV evaluation needs integer exponents: {a}")
-        return mzv_eval(exps, a.colors, cfg)
+        return mzv_eval(a.exps, a.colors, cfg)
     if isinstance(a, MTValue):
-        exps = tuple(e.const for e in a.exps)
-        if all(isinstance(e, int) and e >= 1 for e in exps):
-            return mt_via_mzv(exps, a.colors, cfg)
-        return mt_direct(exps, a.colors, cfg)
+        if all(isinstance(e, int) and e >= 1 for e in a.exps):
+            return mt_via_mzv(a.exps, a.colors, cfg)
+        return mt_direct(a.exps, a.colors, cfg)
     raise TypeError(f"cannot evaluate atom {a!r}")
 
 
@@ -754,7 +752,7 @@ def eval_expr(
     distinct = {a for atoms, _ in terms for a in atoms}
 
     results: dict[Atom, EvalResult] = {}
-    for a in sorted(distinct, key=lambda a: a.key()):
+    for a in sorted(distinct, key=_by_key):
         try:
             results[a] = _eval_atom(a, cfg)
         except ValueError as exc:

@@ -5,12 +5,12 @@ Atoms
 -----
 * ``EvenZeta(n)``: zeta at an even integer n >= 0 (kept symbolic; n = 0 is
   legal and evaluates to -1/2).
-* ``MTValue(exps, colors)``: a Mordell-Tornheim value of depth >= 2; the
+* ``MTValue(exps, colors, z_slot)``: a Mordell-Tornheim value of depth >= 2; the
   last slot is the total-sum slot.  The first-depth slots are sorted, since
   the underlying series is symmetric under permuting them jointly with
   their colors.  Input of one slot, or of two (depth 1), collapses to
   phi, the depth-1 ``MZValue``.
-* ``MZValue(exps, colors)``: a (colored) multiple zeta value; slots are
+* ``MZValue(exps, colors, z_slot)``: a (colored) multiple zeta value; slots are
   ordered leading-first and never sorted.  Depth 1 is the periodic zeta
   phi(e; color) = sum over m >= 1 of e(color*m)/m^e, printed ``phi(e; c)``
   and serialized as type "lerch".  Its trivial-color even-integer form is
@@ -22,11 +22,15 @@ and canonicalize their slots in one function (``_slots``), and
 
 Colors are rationals reduced mod 1 by ``_canon_color``, the one place in
 the package that reduces a color; color 0 is the trivial phase.
-Exponents are affine in z with z-coefficient 0 or 1; a product term may
-contain at most one z-bearing atom (constructions that would violate this
-signal a bug and are rejected).  ``Expr.substitute`` replaces z by a
-number, after which the slots hold plain numbers (int, float, Fraction or
-complex) and the atoms keep their classes.
+Exponents are plain numbers, and an atom names at most one z slot:
+``z_slot`` is the index of the slot whose value is z + exps[z_slot], or
+None.  Builders write that slot as ``Z`` or ``Z.shift(k)``, which only
+``_slots`` reads; it refuses two.  A product term may contain at most one
+z-bearing atom (constructions that would violate this signal a bug and are
+rejected).  ``Expr.substitute`` replaces z by a number, after which no slot
+names z, the slots hold plain numbers (int, float, Fraction or complex) and
+the atoms keep their classes.  Each atom computes its key once, when it is
+built: equality, hashing and the canonical order all read it.
 
 ``Expr`` is a map from atom multisets to rational coefficients.  The map is
 canonical: no zero coefficients, atoms sorted by a fixed total order, so
@@ -39,13 +43,12 @@ every term at once rather than adding one-term expressions in a loop.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from numbers import Integral
-from typing import Any, Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 __all__ = [
-    "AffineExp",
     "EvenZeta",
     "MTValue",
     "MZValue",
@@ -58,41 +61,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AffineExp:
-    """Exponent const + z (when has_z) or plain const.  The const is an
-    integer while z is symbolic and any number once z is substituted."""
+class _ZPlus(NamedTuple):
+    """z + k in a builder's slot list; only ``_slots`` reads it."""
 
-    const: Any
-    has_z: bool = False
+    k: int = 0
 
-    def __add__(self, other: "AffineExp") -> "AffineExp":
-        if self.has_z and other.has_z:
-            raise ValueError("exponent would carry 2*z")
-        return AffineExp(self.const + other.const, self.has_z or other.has_z)
-
-    def shift(self, c: int) -> "AffineExp":
-        return AffineExp(self.const + c, self.has_z)
-
-    def substitute(self, z0: Any) -> "AffineExp":
-        if not self.has_z:
-            return self
-        return AffineExp(_canon_number(self.const + z0))
-
-    def key(self) -> tuple:
-        c = self.const
-        if type(c) is int:
-            return (self.has_z, c, 0)
-        c = complex(c)
-        return (self.has_z, c.real, c.imag)
-
-    def __str__(self) -> str:
-        if self.has_z:
-            return f"z+{self.const}" if self.const else "z"
-        return str(self.const)
+    def shift(self, c: int) -> "_ZPlus":
+        return _ZPlus(self.k + c)
 
 
-Z = AffineExp(0, True)
+Z = _ZPlus()
 
 
 def _canon_color(c: Union[int, Fraction]) -> Fraction:
@@ -100,59 +78,73 @@ def _canon_color(c: Union[int, Fraction]) -> Fraction:
 
 
 def _canon_number(v: Any) -> Any:
-    """Collapse integral floats/Fractions to int; keep everything else."""
-    if isinstance(v, Integral):
+    """Collapse integral floats/Fractions/complexes to int; keep everything else."""
+    if isinstance(v, complex) and v.imag == 0:
+        v = v.real
+    if isinstance(v, float) and v.is_integer() or isinstance(v, Fraction) and v.denominator == 1:
         return int(v)
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else v
-    if isinstance(v, float):
-        return int(v) if v.is_integer() else v
-    if isinstance(v, complex):
-        if v.imag == 0:
-            return _canon_number(v.real)
-        return v
-    return v
+    return int(v) if isinstance(v, Integral) else v
 
 
-@dataclass(frozen=True)
-class EvenZeta:
-    n: int
+class _Atom:
+    """An atom is its key, computed once when it is built: ==, hash and the
+    canonical order all read it.  A subclass sets ``key`` in its
+    constructor through ``_identify``; atoms are not changed afterwards.
+    EvenZeta names no z slot."""
 
-    def __post_init__(self) -> None:
-        if self.n < 0 or self.n % 2:
-            raise ValueError(f"EvenZeta argument must be even >= 0, got {self.n}")
+    __slots__ = ("key", "_hash")
+    z_slot = None
 
-    def key(self) -> tuple:
-        return (0, self.n)
+    def _identify(self, key: tuple) -> None:
+        self.key, self._hash = key, hash(key)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Atom) and self.key == other.key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return str(self)
+
+
+class EvenZeta(_Atom):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        if n < 0 or n % 2:
+            raise ValueError(f"EvenZeta argument must be even >= 0, got {n}")
+        self.n = n
+        self._identify((0, n))
 
     def __str__(self) -> str:
         return f"zeta({self.n})"
 
 
-@dataclass(frozen=True)
-class _Slotted:
-    """The body of MTValue and MZValue: one exponent and one color per slot.
-    Each class sets TAG, which leads its key, TYPE, its JSON type and
-    printed name (phi at depth 1), and ``depth``.  Equality is per class."""
+class _Slotted(_Atom):
+    """The body of MTValue and MZValue: one exponent and one color per slot,
+    and ``z_slot``, the index of the slot that holds z + exps[z_slot], or
+    None.  Each class sets TAG, which leads its key, TYPE, its JSON type and
+    printed name (phi at depth 1), and ``depth``.  An exponent enters the
+    key as (holds z, real part, imaginary part)."""
 
-    exps: tuple[AffineExp, ...]
-    colors: tuple[Fraction, ...]
+    __slots__ = ("exps", "colors", "z_slot")
 
-    def key(self) -> tuple:
-        return (
-            self.TAG,
-            len(self.exps),
-            tuple(e.key() for e in self.exps),
-            self.colors,
-        )
+    def __init__(self, exps: tuple, colors: tuple[Fraction, ...], z_slot: Optional[int] = None):
+        self.exps, self.colors, self.z_slot = exps, colors, z_slot
+        slots = tuple((i == z_slot, e.real, e.imag) for i, e in enumerate(exps))
+        self._identify((self.TAG, len(exps), slots, colors))
 
     def __str__(self) -> str:
-        args = ",".join(str(e) for e in self.exps)
+        args = ",".join(
+            str(e) if i != self.z_slot else f"z+{e}" if e else "z" for i, e in enumerate(self.exps)
+        )
         cols = ",".join(str(c) for c in self.colors)
         return f"{self.TYPE if self.depth > 1 else 'phi'}({args}; {cols})"
 
 
 class MTValue(_Slotted):
+    __slots__ = ()
     TAG, TYPE = 4, "mt"
 
     @property
@@ -160,13 +152,14 @@ class MTValue(_Slotted):
         return len(self.exps) - 1
 
 
-@dataclass(frozen=True)
 class MZValue(_Slotted):
+    __slots__ = ()
     TAG, TYPE = 3, "mzv"
 
-    def __post_init__(self) -> None:
-        if len(self.exps) == 1 and not self.colors[0] and _even_integer(self.exps[0]):
-            raise ValueError(f"trivial-color phi at {self.exps[0]} is EvenZeta")
+    def __init__(self, exps: tuple, colors: tuple[Fraction, ...], z_slot: Optional[int] = None):
+        if _even_zeta_form(exps, colors, z_slot):
+            raise ValueError(f"trivial-color phi at {exps[0]} is EvenZeta")
+        super().__init__(exps, colors, z_slot)
 
     @property
     def depth(self) -> int:
@@ -176,63 +169,69 @@ class MZValue(_Slotted):
 Atom = Union[EvenZeta, MTValue, MZValue]
 
 
-def atom_has_z(a: Atom) -> bool:
-    return not isinstance(a, EvenZeta) and any(e.has_z for e in a.exps)
-
-
-def _even_integer(e: AffineExp) -> bool:
-    return not e.has_z and isinstance(e.const, Integral) and e.const % 2 == 0
+def _even_zeta_form(es: tuple, cs: tuple[Fraction, ...], z_slot: Optional[int]) -> bool:
+    """Whether the slots are those of a trivial-color phi at an even integer."""
+    return len(es) == 1 and z_slot is None and not cs[0] and isinstance(es[0], Integral) and es[0] % 2 == 0
 
 
 def _slots(
-    exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
-) -> tuple[tuple[AffineExp, ...], tuple[Fraction, ...]]:
-    """The checked slots of an atom: exponents as AffineExp (an integer n
-    as AffineExp(n)), colors reduced mod 1, at least one slot and at most
-    one z."""
-    for e in exps:
-        if not isinstance(e, (AffineExp, Integral)):
-            raise TypeError(f"exponent slot needs an integer or AffineExp, got {e!r}")
-    es = tuple(e if isinstance(e, AffineExp) else AffineExp(int(e)) for e in exps)
+    exps: Sequence[Union[int, _ZPlus]], colors: Sequence[Union[int, Fraction]]
+) -> tuple[tuple[int, ...], tuple[Fraction, ...], Optional[int]]:
+    """The checked slots of an atom: integer exponents, colors reduced mod
+    1, and the index of the one slot given as z + k (which then holds k),
+    or None; at least one slot."""
+    es, z_slot = [], None
+    for i, e in enumerate(exps):
+        if isinstance(e, _ZPlus):
+            if z_slot is not None:
+                raise ValueError("at most one slot may carry z")
+            z_slot, e = i, e.k
+        elif not isinstance(e, Integral):
+            raise TypeError(f"exponent slot needs an integer or Z.shift(k), got {e!r}")
+        es.append(int(e))
     cs = tuple(_canon_color(c) for c in colors)
     if len(es) != len(cs):
         raise ValueError("exponent/color length mismatch")
     if not es:
         raise ValueError("an atom needs at least one slot")
-    if sum(e.has_z for e in es) > 1:
-        raise ValueError("at most one slot may carry z")
-    return es, cs
+    return tuple(es), cs, z_slot
 
 
-def lerch(exp: Union[int, AffineExp], color: Union[int, Fraction]) -> Atom:
+def lerch(exp: Union[int, _ZPlus], color: Union[int, Fraction]) -> Atom:
     """phi(exp; color), the depth-1 MZV."""
     return mzv((exp,), (color,))
 
 
 def mt_value(
-    exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
+    exps: Sequence[Union[int, _ZPlus]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
     """MT atom with sorted head slots; one slot is phi, and two slots
     MT(s; t) = phi(s + t)."""
-    es, cs = _slots(exps, colors)
+    es, cs, z_slot = _slots(exps, colors)
     if len(es) == 2:
-        es, cs = (es[0] + es[1],), (cs[0] + cs[1],)
+        es, cs, z_slot = (es[0] + es[1],), (_canon_color(cs[0] + cs[1]),), None if z_slot is None else 0
     if len(es) == 1:
-        return mzv(es, cs)
-    head = sorted(zip(es[:-1], cs[:-1]), key=lambda p: (p[0].key(), p[1]))
-    es = tuple(e for e, _ in head) + (es[-1],)
-    cs = tuple(c for _, c in head) + (cs[-1],)
-    return MTValue(es, cs)
+        return _phi_or_mzv(es, cs, z_slot)
+    # the z slot sorts after the other head slots, as its key does
+    order = sorted(range(len(es) - 1), key=lambda i: (i == z_slot, es[i], cs[i])) + [len(es) - 1]
+    return MTValue(
+        tuple(es[i] for i in order),
+        tuple(cs[i] for i in order),
+        None if z_slot is None else order.index(z_slot),
+    )
 
 
 def mzv(
-    exps: Sequence[Union[int, AffineExp]], colors: Sequence[Union[int, Fraction]]
+    exps: Sequence[Union[int, _ZPlus]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
     """Colored MZV atom; a trivial-color even-integer phi is EvenZeta."""
-    es, cs = _slots(exps, colors)
-    if len(es) == 1 and not cs[0] and _even_integer(es[0]):
-        return EvenZeta(es[0].const)
-    return MZValue(es, cs)
+    return _phi_or_mzv(*_slots(exps, colors))
+
+
+def _phi_or_mzv(es: tuple, cs: tuple[Fraction, ...], z_slot: Optional[int]) -> Atom:
+    if _even_zeta_form(es, cs, z_slot):
+        return EvenZeta(es[0])
+    return MZValue(es, cs, z_slot)
 
 
 TermKey = tuple  # sorted tuple of atoms
@@ -257,8 +256,8 @@ class Expr:
             coeff = Fraction(coeff)
             if not coeff:
                 continue
-            key = tuple(sorted(atoms, key=lambda a: a.key()))
-            if sum(atom_has_z(a) for a in key) > 1:
+            key = tuple(sorted(atoms, key=_by_key))
+            if sum(a.z_slot is not None for a in key) > 1:
                 raise ValueError("term with two z-bearing atoms")
             acc = terms.get(key, 0) + coeff
             if acc:
@@ -317,7 +316,7 @@ class Expr:
         return len(self.terms)
 
     def items(self) -> Iterator[tuple[TermKey, Fraction]]:
-        return iter(sorted(self.terms.items(), key=lambda kv: _term_sort_key(kv[0])))
+        return iter(sorted(self.terms.items(), key=lambda kv: tuple(a.key for a in kv[0])))
 
     def atoms(self) -> Iterator[Atom]:
         for k in self.terms:
@@ -349,14 +348,14 @@ class Expr:
 
 def _substitute_atom(a: Atom, z0: Any) -> Atom:
     """A depth-1 value may become EvenZeta; MT head slots are not re-sorted."""
-    if not atom_has_z(a):
+    i = a.z_slot
+    if i is None:
         return a
-    exps = tuple(e.substitute(z0) for e in a.exps)
-    return mzv(exps, a.colors) if isinstance(a, MZValue) else MTValue(exps, a.colors)
+    exps = a.exps[:i] + (_canon_number(a.exps[i] + z0),) + a.exps[i + 1 :]
+    return _phi_or_mzv(exps, a.colors, None) if isinstance(a, MZValue) else MTValue(exps, a.colors)
 
 
-def _term_sort_key(atoms: TermKey) -> tuple:
-    return tuple(a.key() for a in atoms)
+_by_key = operator.attrgetter("key")
 
 
 # -- JSON schema ------------------------------------------------------------
@@ -367,19 +366,19 @@ def _frac_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}" if c.denominator != 1 else str(c.numerator)
 
 
-def _exp_json(e: AffineExp) -> Any:
-    return {"const": e.const, "z": True} if e.has_z else e.const
+def _exp_json(a: Atom, i: int) -> Any:
+    return {"const": a.exps[i], "z": True} if i == a.z_slot else a.exps[i]
 
 
 def atom_to_json(a: Atom) -> dict:
     if isinstance(a, EvenZeta):
         return {"type": "even_zeta", "n": a.n}
     if isinstance(a, MZValue) and len(a.exps) == 1:
-        return {"type": "lerch", "exp": _exp_json(a.exps[0]), "color": _frac_str(a.colors[0])}
+        return {"type": "lerch", "exp": _exp_json(a, 0), "color": _frac_str(a.colors[0])}
     if isinstance(a, _Slotted):
         return {
             "type": a.TYPE,
-            "exps": [_exp_json(e) for e in a.exps],
+            "exps": [_exp_json(a, i) for i in range(len(a.exps))],
             "colors": [_frac_str(c) for c in a.colors],
         }
     raise TypeError(f"cannot serialize {a!r}")

@@ -582,6 +582,7 @@ def test_dash_values_read_as_in_the_equals_spelling():
         (["eval", "--s", "2,2", "--z", "-1"], 2),
         (["convert", "--s", "2,2", "--colors", "-1/3,0"], 0),
         (["eval", "--s", "2", "--z", "-x"], 1),
+        (["reduce", "--s", "1,1", "--al", "-2/5"], 1),
     ]:
         got = _run_main(argv)
         assert got[0] == want, (argv, got)
@@ -591,6 +592,10 @@ def test_dash_values_read_as_in_the_equals_spelling():
     for argv in (["reduce", "--s", "--alpha", "1/3"], ["reduce", "--s", "1,1", "--alpha", "-h"]):
         rc, out, err = _run_main(argv)
         assert rc == 1 and "expected one argument" in err and not out, argv
+    # a flag has one spelling: a prefix of it is refused in either spelling
+    for argv in (["reduce", "--s", "1,1", "--al", "-2/5"], ["reduce", "--s", "1,1", "--al=-2/5"]):
+        rc, out, err = _run_main(argv)
+        assert rc == 1 and "unrecognized arguments" in err and "usage" in err and not out, argv
 
 
 def test_mutually_exclusive_alpha_chi():

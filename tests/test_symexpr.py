@@ -1,17 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mtzeta.numerics import EvalConfig, eval_expr, mt_direct
 from mtzeta.symexpr import (
-    AffineExp,
     EvenZeta,
     Expr,
     MTValue,
     MZValue,
     Z,
-    atom_has_z,
+    _slots,
+    atom_to_json,
     lerch,
     mt_value,
     mzv,
@@ -53,7 +53,7 @@ def test_two_z_atoms_rejected():
 
 def test_mt_depth1_collapses_to_lerch():
     a = mt_value((2, 3), (Fraction(1, 3), Fraction(1, 2)))
-    assert a == MZValue((AffineExp(5),), (Fraction(5, 6),))
+    assert a == MZValue((5,), (Fraction(5, 6),))
     trivial = mt_value((2, 2), (0, 0))
     assert trivial == EvenZeta(4)
     # one slot is phi itself, as for mzv
@@ -86,10 +86,8 @@ def test_substitute_examples():
     sm = m.substitute(2)
     ((atoms, coeff),) = list(sm.items())
     assert coeff == 1
-    assert atoms[0] == MTValue(
-        (AffineExp(1), AffineExp(1), AffineExp(2)),
-        (Fraction(0), Fraction(0), Fraction(1, 3)),
-    )
+    assert atoms[0] == MTValue((1, 1, 2), (Fraction(0), Fraction(0), Fraction(1, 3)))
+    assert atoms[0].z_slot is None and next(m.atoms()).z_slot == 2
 
 
 def test_substitute_domain():
@@ -102,7 +100,7 @@ def test_substitute_domain():
 def test_substitute_odd_integer_stays_numeric_request():
     e = Expr.atom(lerch(Z.shift(2), 0)).substitute(3)
     ((atoms, _),) = list(e.items())
-    assert atoms[0] == MZValue((AffineExp(5),), (Fraction(0),))
+    assert atoms[0] == MZValue((5,), (Fraction(0),))
 
 
 def test_substitute_mixed_slots_sort_and_evaluate():
@@ -111,7 +109,7 @@ def test_substitute_mixed_slots_sort_and_evaluate():
     m = mt_value((1, Z, 2), (0, Fraction(1, 3), 0))
     plain = mt_value((1, 3, 2), (0, 0, 0))
     s = (Expr.term(2, (m,)) + Expr.atom(plain)).substitute(2 + 1j)
-    head = MTValue((AffineExp(1), AffineExp(2 + 1j), AffineExp(2)), m.colors)
+    head = MTValue((1, 2 + 1j, 2), m.colors)
     assert [atoms for atoms, _ in s.items()] == [(head,), (plain,)]
     cfg = EvalConfig(precision_bits=64, target_tol=1e-6)
     r = eval_expr(Expr.atom(m), 2 + 1j, cfg)
@@ -121,10 +119,11 @@ def test_substitute_mixed_slots_sort_and_evaluate():
 
 def test_lerch_rejects_even_zeta_form():
     with pytest.raises(ValueError, match="EvenZeta"):
-        MZValue((AffineExp(4),), (Fraction(0),))
+        MZValue((4,), (Fraction(0),))
     assert lerch(4, 0) == EvenZeta(4)
-    MZValue((AffineExp(4),), (Fraction(1, 2),))  # colored: a genuine phi value
-    MZValue((AffineExp(5),), (Fraction(0),))  # odd: zeta(5) stays a depth-1 MZV
+    MZValue((4,), (Fraction(1, 2),))  # colored: a genuine phi value
+    MZValue((5,), (Fraction(0),))  # odd: zeta(5) stays a depth-1 MZV
+    MZValue((4,), (Fraction(0),), 0)  # z + 4: not a number yet
 
 
 def _four_class_key(a):
@@ -132,7 +131,7 @@ def _four_class_key(a):
     2 between EvenZeta (0), MZVs (3) and MT values (4)."""
     if isinstance(a, EvenZeta):
         return (0, a.n)
-    exps = tuple(e.key() for e in a.exps)
+    exps = a.key[2]
     if isinstance(a, MZValue) and len(exps) == 1:
         return (2, exps[0], a.colors[0])
     return (3 if isinstance(a, MZValue) else 4, len(exps), exps, a.colors)
@@ -162,7 +161,82 @@ def _any_atom(draw):
 def test_canonical_order_unchanged_by_phi_fold(atoms):
     # phi is the depth-1 MZValue, keyed (3, 1, ...): the canonical order, and
     # with it every printed expression, is the one of the four-class scheme
-    assert sorted(atoms, key=lambda a: a.key()) == sorted(atoms, key=_four_class_key)
+    assert sorted(atoms, key=lambda a: a.key) == sorted(atoms, key=_four_class_key)
+
+
+_small_colors = st.integers(1, 12).flatmap(lambda q: st.builds(Fraction, st.integers(-q, 2 * q), st.just(q)))
+
+
+@st.composite
+def _built(draw, z_slots=st.integers(0, 1)):
+    """(builder, slots, colors) for mt_value, mzv or lerch: int slots, of
+    which z_slots are Z.shift(k), and colors p/q with q <= 12."""
+    builder = draw(st.sampled_from([mt_value, mzv, lerch]))
+    nz = draw(z_slots)
+    n = 1 if builder is lerch else draw(st.integers(max(nz, 1), 4))
+    slots = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    for i in draw(st.permutations(range(n)))[:nz]:
+        slots[i] = Z.shift(draw(st.integers(0, 3)))
+    return builder, slots, draw(st.lists(_small_colors, min_size=n, max_size=n))
+
+
+def _build(builder, slots, colors):
+    return lerch(slots[0], colors[0]) if builder is lerch else builder(slots, colors)
+
+
+@st.composite
+def _atom_pairs(draw):
+    """Two atoms: independent, or the second built from the first's slots
+    with MT head slots permuted (jointly with their colors) and colors
+    shifted by integers, which names the same atom."""
+    x = draw(_built())
+    if draw(st.booleans()):
+        return _build(*x), _build(*draw(_built()))
+    builder, slots, colors = x
+    colors = [c + draw(st.integers(-2, 2)) for c in colors]
+    if builder is mt_value and len(slots) > 2:
+        head = draw(st.permutations(list(zip(slots[:-1], colors[:-1]))))
+        slots, colors = [e for e, _ in head] + slots[-1:], [c for _, c in head] + colors[-1:]
+    return _build(*x), _build(builder, slots, colors)
+
+
+@settings(derandomize=True, max_examples=400)
+@given(_atom_pairs())
+def test_atom_identity_is_its_key(pair):
+    # ==, hash and the canonical order read one key; within a class the
+    # printed and the JSON forms name an atom exactly as the key does
+    a, b = pair
+    assert (a == b) == (a.key == b.key)
+    if a == b:
+        assert hash(a) == hash(b)
+    if type(a) is type(b):
+        assert (a == b) == (atom_to_json(a) == atom_to_json(b)) == (str(a) == str(b))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(_built(), st.integers(1, 4))
+def test_substitution_keys_as_the_built_atom(x, z0):
+    builder, slots, colors = x
+    ((atoms, _),) = Expr.atom(_build(*x)).substitute(z0).items()
+    (got,) = atoms
+    direct = _build(builder, [z0 + e.k if isinstance(e, type(Z)) else e for e in slots], colors)
+    if isinstance(got, MTValue):
+        # the key was computed afresh, without the z flag ...
+        assert got.key == MTValue(got.exps, got.colors).key
+        # ... and substitution keeps the z slot's place among the head slots
+        got = mt_value(got.exps, got.colors)
+    assert got.key == direct.key and got == direct and hash(got) == hash(direct)
+
+
+@settings(derandomize=True, max_examples=100)
+@given(_built(z_slots=st.just(2)).filter(lambda x: x[0] is not lerch))
+def test_two_z_slots_refused(x):
+    # at _slots, before mt_value's two-slot collapse could add z to z
+    builder, slots, colors = x
+    with pytest.raises(ValueError, match="at most one slot may carry z"):
+        _slots(slots, colors)
+    with pytest.raises(ValueError, match="at most one slot may carry z"):
+        builder(slots, colors)
 
 
 atoms_strategy = st.sampled_from(
@@ -210,7 +284,7 @@ def test_one_pass_constructor_matches_ring_sum(pairs):
     def ring_sum():
         return sum((Expr.term(c, atoms) for atoms, c in pairs), Expr())
 
-    if any(c and sum(map(atom_has_z, atoms)) > 1 for atoms, c in pairs):
+    if any(c and sum(a.z_slot is not None for a in atoms) > 1 for atoms, c in pairs):
         with pytest.raises(ValueError, match="two z-bearing"):
             Expr(pairs)
         with pytest.raises(ValueError, match="two z-bearing"):
@@ -219,7 +293,7 @@ def test_one_pass_constructor_matches_ring_sum(pairs):
     e = Expr(pairs)
     assert e == ring_sum()
     for atoms, c in e.terms.items():
-        assert c and list(atoms) == sorted(atoms, key=lambda a: a.key())
+        assert c and list(atoms) == sorted(atoms, key=lambda a: a.key)
 
 
 def test_builders_pass_all_terms_at_once():
