@@ -279,57 +279,58 @@ def _word_to_exponents(word: tuple) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip([-1, *at], at))
 
 
-class _Letter(tuple):
-    """A letter (x, g, dual) of a split word that hashes its Fractions once:
-    the kernel's memo keys hash whole words on every lookup.  It equals the
-    plain tuple and hashes like it."""
+class _Letter:
+    """A letter y of a split word: y = x e(g), or x (1 - e(g)) if dual, g = 0
+    for a real y = x.  _letter builds one per (x, g, dual), and it has no
+    __eq__ or __hash__, so the kernel's memos key words on letter identity.
+    It holds its modulus, a rational lower bound for |y| (x, or x min(1,
+    |1 - e(g)|) if dual), its reciprocal at each scale 2^F asked for (one
+    per working precision), and whether it is the letter 2, whose levels
+    _inner_levels defers (decided from the value: the LRU may build a
+    letter twice)."""
 
-    def __new__(cls, x, g, dual):
-        self = super().__new__(cls, (x, g, dual))
-        self.hash = tuple.__hash__(self)
-        return self
+    def __init__(self, x, g, dual: bool):
+        self.x, self.g, self.dual = x, g, dual
+        self.deferred = (x, g, dual) == (2, 0, False)
+        h = min(g, 1 - g)
+        self.modulus = x
+        if dual and h < Fraction(1, 6):
+            self.modulus = x * Fraction(math.floor(2 * math.sin(math.pi * h) * (1 - 2.0**-40) * 2**16), 2**16)
+        self._recips = {}
 
-    def __hash__(self):
-        return self.hash
+    def recip(self, F: int) -> tuple[int, int | None]:
+        """1/y as ints (re, im) scaled by 2^F (im None if y is real), each one
+        floor of a rational or of a libmp value good to 2^-(F+12): within 2
+        ulps."""
+        if F in self._recips:
+            return self._recips[F]
+        x, g, dual = self.x, self.g, self.dual
+        if not g:
+            u = (x.denominator << F) // x.numerator, None
+        else:
+            wp = F + 16
+            c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(g.numerator << (not dual), g.denominator, wp), wp)
+            w = libmp.from_rational(x.denominator, x.numerator, wp)
+            if dual:  # 1/(1 - e(g)) = (1 + i cot(pi g)) / 2
+                re, im = libmp.mpf_shift(w, -1), libmp.mpf_mul(libmp.mpf_shift(w, -1), libmp.mpf_div(c, s, wp), wp)
+            else:  # 1/e(g) = e(-g)
+                re, im = libmp.mpf_mul(w, c, wp), libmp.mpf_neg(libmp.mpf_mul(w, s, wp))
+            u = libmp.to_fixed(re, F), libmp.to_fixed(im, F)
+        self._recips[F] = u  # another thread may have computed the same u
+        return u
 
 
-def _modulus(y) -> Fraction | int:
-    """Rational lower bound for |y|: x min(1, |1 - e(g)|) for y = x (1 - e(g))."""
-    if not isinstance(y, tuple):  # the letter 1, y = 2
-        return 2
-    x, g, dual = y
-    g = min(g, 1 - g)
-    if not dual or g >= Fraction(1, 6):
-        return x
-    return x * Fraction(math.floor(2 * math.sin(math.pi * g) * (1 - 2.0**-40) * 2**16), 2**16)
-
-
-# 1,024 entries: one colored-characters case list (seed 7) fills 23
-@functools.lru_cache(maxsize=1 << 10)
-def _recip(y, F: int) -> tuple[int, int | None]:
-    """1/y as ints (re, im) scaled by 2^F (im None if y is real), each one floor
-    of a rational or of a libmp value good to 2^-(F+12): within 2 ulps."""
-    if not isinstance(y, tuple):  # the letter 1, y = 2
-        return 1 << (F - 1), None
-    x, g, dual = y
-    if not g:
-        return (x.denominator << F) // x.numerator, None
-    wp = F + 16
-    c, s = libmp.mpf_cos_sin_pi(libmp.from_rational(g.numerator << (not dual), g.denominator, wp), wp)
-    w = libmp.from_rational(x.denominator, x.numerator, wp)
-    if dual:  # 1/(1 - e(g)) = (1 + i cot(pi g)) / 2
-        re, im = libmp.mpf_shift(w, -1), libmp.mpf_mul(libmp.mpf_shift(w, -1), libmp.mpf_div(c, s, wp), wp)
-    else:  # 1/e(g) = e(-g)
-        re, im = libmp.mpf_mul(w, c, wp), libmp.mpf_neg(libmp.mpf_mul(w, s, wp))
-    return libmp.to_fixed(re, F), libmp.to_fixed(im, F)
+# the one maker of letters, 1,024 entries: one colored-characters case list
+# (seed 7) builds 32 letters, one paper-decimals list 1
+_letter = functools.lru_cache(maxsize=1 << 10)(_Letter)
 
 
 def _telescope(tr: list[int], ti: list[int] | None, err: float, y, F: int):
     """Level of letter y over terms T(n) = tr[n] + i ti[n] (n < M) within err
     ulps: Q(0) = 0, Q(n+1) = u (Q(n) + T(n)), u = 1/y.  A step damps the
     error by |u| < 1, adding 2 ulps of floors and 2 of u times |Q + T|."""
-    ur, ui = _recip(y, F)
-    rho = float(1 / _modulus(y)) + 2.0 ** (2 - F)
+    ur, ui = y.recip(F)
+    rho = float(1 / y.modulus) + 2.0 ** (2 - F)
     mag = (max(map(abs, tr)) + max(map(abs, ti or [0]))) / (1 << F) + math.ldexp(err, -F)
     err = (rho * err + 2 * mag / (1 - rho) + 2) / (1 - rho)
     if not ui:  # a real u keeps the two parts apart
@@ -394,11 +395,11 @@ def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int):
             continue
         y = word[at[j]]
         if j == len(at) - 1:  # P(n) = y^-n for the last letter y
-            st = ([one] * (M + 1), None, True, 0) if y == 1 else _telescope([one, *[0] * (M - 1)], None, 0, y, F)
+            st = ([one] * (M + 1), None, True, 0) if y.deferred else _telescope([one, *[0] * (M - 1)], None, 0, y, F)
         else:
             re, im, deferred, err = st
             pw = _powers(exps[j + 1], M)  # n^e at pw[n - 1]
-            if deferred and y == 1:
+            if deferred and y.deferred:
                 # new[m] = sum over n < m of re[n] // n^e: m - 1 floors, and
                 # errors err * n / n^e <= err, so (err + 1) m ulps in all
                 re = [0, 0, *accumulate(map(floordiv, islice(re, 1, M), pw))]
@@ -412,14 +413,11 @@ def _inner_levels(word: tuple, exps: tuple[int, ...], M: int, F: int):
     return st
 
 
-# 1,024 entries: words of one depth over one alphabet share an entry; one
-# colored-characters case list (seed 7) fills 118
-@functools.lru_cache(maxsize=1 << 10)
-def _li_terms(letters: frozenset, d: int, prec: int) -> tuple[int, Fraction | int]:
+def _li_terms(letters: Iterable[_Letter], d: int, prec: int) -> tuple[int, Fraction | int]:
     """(M, R) of _li_half at prec for a word of d letters other than 0, each
     one of ``letters``: R the smallest letter modulus, M the terms per
     level.  Raises ValueError when M times d passes _MAX_TERMS."""
-    R = min(map(_modulus, letters))
+    R = min(y.modulus for y in letters)
     # the floor, 4d + 16 rounded up to a power of two, keeps rho < 1; a
     # power of two, so that the deep cuts of one evaluation share levels
     M = max(math.ceil((prec + 24) / math.log2(R)), 1 << (4 * d + 15).bit_length())
@@ -433,9 +431,8 @@ def _li_terms(letters: frozenset, d: int, prec: int) -> tuple[int, Fraction | in
 @functools.lru_cache(maxsize=1 << 14)
 def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
     """L = sum_{n_1 > ... > n_d >= 1} prod_j y_j^-(n_j - n_(j+1)) / n_j^e_j,
-    n_(d+1) = 0, for a word over 0 and letters y_j, |y_j| > 1, ending in a
-    letter: 1 for y = 2 (a {0,1} word gives Li at 1/2), (x, g, dual) for
-    y = x e(g), or x (1 - e(g)) if dual, g = 0 for another real y = x.
+    n_(d+1) = 0, for a word over 0 and letters y_j (_Letter), |y_j| > 1,
+    ending in a letter; a word over 0 and the letter 2 gives Li at 1/2.
     Its levels come from _level, whose states are fixed by the suffix, M
     and F, so the memo keys on (word, prec) alone.
     Returns (V, bound), V an int (ints (re, im) if a letter is not real),
@@ -455,7 +452,7 @@ def _li_half(word: tuple, prec: int) -> tuple[Any, float]:
         return (1 << F, 0.0)
     exps = _word_to_exponents(word)
     d, e0 = len(exps), exps[0]
-    M, R = _li_terms(frozenset(word) - {0}, d, prec)
+    M, R = _li_terms(filter(None, word), d, prec)
     re, im, deferred, err = _inner_levels(word, exps, M, F)
     m, trunc = M + 1, math.inf
     rho = (1 + 1 / (m * (1 + math.log(m)))) ** (d - 1) / R
@@ -515,21 +512,21 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
         G = _canon_color(G - h) if h else G
         Gs.append(G)
     colors = set(Gs) - {0}
-    r = min((_modulus((1, c, True)) for c in colors), default=1)
+    r = min((_letter(1, c, True).modulus for c in colors), default=1)
     if r == 0:
         raise ValueError("a color this close to 0 is beyond the term budget")
     p, q = (2, 2) if r == 1 else (1 + r, 1 + 1 / r)  # every letter has modulus >= 1 + r
-    lq, lp = (1 if x == 2 else _Letter(x, 0, False) for x in (q, p))
-    ql = {c: _Letter(q, c, True) for c in colors}
-    pl = {c: _Letter(p, c, False) for c in colors}
+    lq, lp = _letter(q, 0, False), _letter(p, 0, False)
+    ql = {c: _letter(q, c, True) for c in colors}
+    pl = {c: _letter(p, c, False) for c in colors}
     # every cut's factor is a suffix of lw reversed or of rw, so it has no
     # more letters and no smaller modulus: these two bound all the work.
     # Both are checked from the exponents, before the word (as long as the
     # weight) is built: lw has a letter per zero of the word and per colored
     # letter, rw one per slot.
     zeros = sum(exps) - len(exps)
-    _li_terms(frozenset(ql.values()) | ({lq} if zeros else set()), zeros + len(Gs) - Gs.count(0), prec)
-    _li_terms(frozenset(pl.values()) | ({lp} if 0 in Gs else set()), len(Gs), prec)
+    _li_terms([*ql.values(), lq] if zeros else ql.values(), zeros + len(Gs) - Gs.count(0), prec)
+    _li_terms([*pl.values(), lp] if 0 in Gs else pl.values(), len(Gs), prec)
     word = []  # None for the letter 0, else G for e(G)
     for s, G in zip(exps, Gs):
         word += [None] * (s - 1) + [G]

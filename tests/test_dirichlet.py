@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc
 
 from mtzeta.dirichlet import (
     character_identities,
     enumerate_characters,
+    fourier_weights,
     gauss_sum,
     mt_l_value,
 )
@@ -92,6 +94,36 @@ def test_gauss_sum_modulus():
             with mp.workprec(160):
                 mag2 = float(abs(mpc(g.value)) ** 2)
             assert abs(mag2 - f) <= 4 * math.sqrt(f) * g.bound + 1e-25, f
+
+
+def _within_both_bounds(got, ref, bits):
+    with mp.workprec(4 * bits + 64):
+        return float(abs(mpc(got.value) - mpc(ref.value))) <= got.bound + ref.bound
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(st.integers(min_value=3, max_value=50), st.integers(min_value=0), st.sampled_from([64, 128, 256]))
+def test_gauss_sum_bound_sound(f, index, bits):
+    # any character mod 3..50 against its own gauss sum at twice the
+    # precision: the two values lie within the sum of their bounds
+    chars = enumerate_characters(f)
+    chi = chars[index % len(chars)]
+    got = gauss_sum(chi, EvalConfig(precision_bits=bits))
+    assert _within_both_bounds(got, gauss_sum(chi, EvalConfig(precision_bits=2 * bits)), bits), (f, chi.index, bits)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from([f for f in range(3, 51) if f % 4 != 2]), st.integers(min_value=0), st.sampled_from([64, 128, 256]))
+def test_fourier_weights_bound_sound(f, index, bits):
+    # every weight of a primitive character mod 3..50 (a modulus 2 mod 4
+    # has none) against the same weight at twice the precision
+    chars = [c for c in enumerate_characters(f) if c.primitive]
+    chi = chars[index % len(chars)]
+    got = fourier_weights(chi, EvalConfig(precision_bits=bits))
+    ref = fourier_weights(chi, EvalConfig(precision_bits=2 * bits))
+    assert [w is None for w in got] == [w is None for w in ref]
+    for n, (w, v) in enumerate(zip(got, ref), 1):
+        assert w is None or _within_both_bounds(w, v, bits), (chi.modulus, chi.index, bits, n)
 
 
 def test_l_value_depth1_catalan():

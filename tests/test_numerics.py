@@ -339,12 +339,15 @@ def test_concurrent_readers():
     want = [job() for job, _ in jobs]
     bern = [exact.bernoulli(n) for n in range(40)]
     exact._bernoulli_cache = exact._bernoulli_cache[:2]
-    # the threads fill the shared level memo from cold.  A state another
-    # thread evicts between two calls is rebuilt once: _level only hands out
-    # slots and never calls itself, and _inner_levels builds each state from
-    # the state inside it, which it holds, so nothing recurses down a word
+    # the threads fill the shared letter and level memos from cold.  A state
+    # another thread evicts between two calls is rebuilt once: _level only
+    # hands out slots and never calls itself, and _inner_levels builds each
+    # state from the state inside it, which it holds, so nothing recurses
+    # down a word.  Two threads may build one letter twice; the memos keyed
+    # on letter identity then hold two equal states, which changes no value
     num._li_half.cache_clear()
     num._level.cache_clear()
+    num._letter.cache_clear()
     errors = []
     done = threading.Event()
 
@@ -458,10 +461,14 @@ def _li_half_mpf(word, prec):
 
 @st.composite
 def _words(draw):
-    # {0,1} words ending in 1 of weight (length) <= 12 and depth (ones) <= 6
+    # words over 0 and the letter 2, ending in 2, of weight (length) <= 12
+    # and depth (letters 2) <= 6
+    from mtzeta.numerics import _letter
+
+    two = _letter(2, 0, False)
     length = draw(st.integers(min_value=0, max_value=11))
-    ones = draw(st.sets(st.integers(min_value=0, max_value=max(length - 1, 0)), max_size=min(5, length)))
-    return tuple(int(i in ones) for i in range(length)) + (1,)
+    twos = draw(st.sets(st.integers(min_value=0, max_value=max(length - 1, 0)), max_size=min(5, length)))
+    return tuple(two if i in twos else 0 for i in range(length)) + (two,)
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -469,14 +476,15 @@ def _words(draw):
 def test_li_half_fixed_point_bound_sound(word, prec):
     from mtzeta.numerics import _LI_GUARD_BITS, _li_half
 
-    assert len(word) <= 12 and sum(word) <= 6 and word[-1] == 1
+    depth = len(word) - word.count(0)
+    assert len(word) <= 12 and depth <= 6 and word[-1].deferred
     v, bound = _li_half(word, prec)
     _, old_bound = _li_half_mpf(word, prec)
     ref, _ = _li_half_mpf(word, 2 * prec)
     with mp.workprec(4 * prec + 128):
         got = mp.ldexp(mp.mpf(v), -(prec + _LI_GUARD_BITS))
         assert float(abs(got - ref)) <= bound, (word, prec)
-        if sum(word) == 1:
+        if depth == 1:
             e = len(word)
             assert float(abs(got - mp.polylog(e, mp.mpf(1) / 2))) <= bound, (word, prec)
     assert bound <= old_bound, (word, prec)
@@ -514,12 +522,13 @@ def test_hurwitz_beyond_double_range():
 
 
 def test_precision_ceiling_keeps_bounds_normal():
-    from mtzeta.numerics import _GUARD_BITS, _MAX_PRECISION_BITS, _li_half
+    from mtzeta.numerics import _GUARD_BITS, _MAX_PRECISION_BITS, _letter, _li_half
 
     with pytest.raises(ValueError, match="precision_bits"):
         EvalConfig(precision_bits=_MAX_PRECISION_BITS + 1)
     cfg = EvalConfig(precision_bits=_MAX_PRECISION_BITS)
-    _, li_bound = _li_half((0, 1, 1, 0, 0, 1), _MAX_PRECISION_BITS + _GUARD_BITS)
+    two = _letter(2, 0, False)
+    _, li_bound = _li_half((0, two, two, 0, 0, two), _MAX_PRECISION_BITS + _GUARD_BITS)
     for bound in (li_bound, mzv_eval((3, 2, 1), cfg=cfg).bound, lerch_phi(3, Fraction(0), cfg).bound):
         assert bound >= sys.float_info.min
 
@@ -622,11 +631,12 @@ def test_deferred_levels_error_within_slope():
     # while every letter is 2, level n holds X(n) 2^F, X(n) = sum over
     # n' < n of X_below(n') / n'^e, within err * n ulps (the floors round
     # down, so the error is near (d - 1) n / 2)
-    from mtzeta.numerics import _inner_levels, _level, _word_to_exponents
+    from mtzeta.numerics import _inner_levels, _letter, _level, _word_to_exponents
 
     F, M = 112, 90
     _level.cache_clear()
-    for word in [(1, 1), (1,) * 6, (0, 1, 0, 0, 1, 1), (1, 0, 0, 1, 0, 1, 1)]:
+    two = _letter(2, 0, False)
+    for word in [(two, two), (two,) * 6, (0, two, 0, 0, two, two), (two, 0, 0, two, 0, two, two)]:
         exps = _word_to_exponents(word)
         re, im, deferred, err = _inner_levels(word, exps, M, F)
         assert deferred and im is None
@@ -640,9 +650,10 @@ def test_deep_runs_certify_at_working_precision():
     # a run of d letters 2 adds about d ulps to the bound, not M (ln M)^d:
     # deep words, zeta(s) and phi(s, 1/3) at large s, and MT(2,40;2) keep
     # bounds at the working precision
-    from mtzeta.numerics import _LI_GUARD_BITS, _li_half
+    from mtzeta.numerics import _LI_GUARD_BITS, _letter, _li_half
 
-    for word, prec in [((1,) * 30, 96), ((0, 1) * 20, 160), ((1,) * 60, 200)]:
+    two = _letter(2, 0, False)
+    for word, prec in [((two,) * 30, 96), ((0, two) * 20, 160), ((two,) * 60, 200)]:
         v, bound = _li_half(word, prec)
         ref, _ = _li_half_mpf(word, 2 * prec)
         with mp.workprec(4 * prec):
@@ -734,19 +745,75 @@ def test_mzv_split_bound_sound(word, bits):
 def test_li_half_colored_depth1():
     # one letter y: L = sum_n y^-n / n^e = Li_e(1/y), for y = p e(g) and
     # y = q (1 - e(g)) with p < 2, as the split takes for the color 1/13
-    from mtzeta.numerics import _LI_GUARD_BITS, _li_half
+    from mtzeta.numerics import _LI_GUARD_BITS, _letter, _li_half
 
     r = Fraction(25, 64)
     p, q = 1 + r, 1 + 1 / r
-    for letter in [(p, Fraction(1, 13), False), (q, Fraction(1, 13), True)]:
+    for letter in [_letter(p, Fraction(1, 13), False), _letter(q, Fraction(1, 13), True)]:
         for e in (1, 2, 5):
             (vr, vi), bound = _li_half((0,) * (e - 1) + (letter,), 160)
             with mp.workprec(400):
                 root = mp.expjpi(mp.mpf(2) / 13)
-                y = mp.mpf(q.numerator) / q.denominator * (1 - root) if letter[2] else mp.mpf(p.numerator) / p.denominator * root
+                y = mp.mpf(q.numerator) / q.denominator * (1 - root) if letter.dual else mp.mpf(p.numerator) / p.denominator * root
                 got = mp.mpc(*(mp.ldexp(v, -(160 + _LI_GUARD_BITS)) for v in (vr, vi)))
                 li = mp.fsum(y**-n / mp.mpf(n) ** e for n in range(1, 1200))  # |1/y| < 0.72
                 assert float(abs(got - li)) <= bound, (letter, e)
+
+
+def test_letter_is_built_once_and_carries_its_data():
+    # one letter per (x, g, dual) whatever the type of x, only the letter 2
+    # deferred, and the modulus and 1/y at three scales equal to the values
+    # recorded when a letter was a tuple (with r = 25/64, as the split takes
+    # for the color 1/13)
+    import hashlib
+
+    from mtzeta.numerics import _letter
+
+    assert _letter(2, 0, False) is _letter(Fraction(2), 0, False)
+    r = Fraction(25, 64)
+    xs = [1, 2, 1 + r, 1 + 1 / r]
+    gs = [Fraction(0), Fraction(1, 2), Fraction(1, 3), Fraction(1, 7), Fraction(1, 13), Fraction(3, 8), Fraction(1, 2000)]
+    grid = [(x, g, dual) for x in xs for g in gs for dual in (False, True)]
+    assert [y for y in grid if _letter(*y).deferred] == [(2, 0, False)]
+    # a dual letter with min(g, 1 - g) < 1/6 has modulus x times
+    # 2 sin(pi g) rounded down to a multiple of 2^-16
+    shrink = {
+        Fraction(0): Fraction(0),
+        Fraction(1, 7): Fraction(28435, 32768),
+        Fraction(1, 13): Fraction(31367, 65536),
+        Fraction(1, 2000): Fraction(205, 65536),
+    }
+    assert [_letter(*y).modulus for y in grid] == [x * shrink.get(g, 1) if dual else x for x, g, dual in grid]
+    assert _letter(2, 0, False).recip(128) == (1 << 127, None)
+    assert _letter(1 + r, Fraction(1, 13), False).recip(128) == (
+        216668815973883304701876504270967792772,
+        -113716566972447683789678461803720800024,
+    )
+    recips = [_letter(*y).recip(F) for F in (128, 208, 1006) for y in grid]
+    assert hashlib.sha256(repr(recips).encode()).hexdigest() == (
+        "840ac0bd998211721410c556435606f8603b32fd0ee9e9a2abc95c8a7fe89898"
+    )
+
+
+def _config_above_ceiling(bits):
+    """An EvalConfig at any precision, for a reference value: past the
+    ceiling of EvalConfig its bound underflows toward 0, which only makes a
+    comparison against it stricter."""
+    cfg = object.__new__(EvalConfig)
+    object.__setattr__(cfg, "precision_bits", bits)
+    object.__setattr__(cfg, "target_tol", 1e-32)
+    return cfg
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=199), st.integers(min_value=64, max_value=958))
+def test_even_zeta_bound_sound(half, bits):
+    # zeta(n), n = 2 half < 400, against its own value at twice the
+    # precision: the two values lie within the sum of their bounds
+    got = even_zeta(2 * half, EvalConfig(precision_bits=bits))
+    ref = even_zeta(2 * half, _config_above_ceiling(2 * bits))
+    with mp.workprec(4 * bits + 64):
+        assert float(abs(mp.mpf(got.value) - mp.mpf(ref.value))) <= got.bound + ref.bound, (half, bits)
 
 
 def test_colored_mzv_meets_default_target():
@@ -961,7 +1028,8 @@ def test_level_memo_keys_on_precision():
         num._li_half.cache_clear()
         num._level.cache_clear()
         fresh.append([_raw(num._mzv_split(*w, cfg)) for w in words])
-    assert [num._li_terms(frozenset({1}), 13, cfg.precision_bits + num._GUARD_BITS)[0] for cfg in cfgs] == [128, 128]
+    two = num._letter(2, 0, False)
+    assert [num._li_terms([two], 13, cfg.precision_bits + num._GUARD_BITS)[0] for cfg in cfgs] == [128, 128]
     num._li_half.cache_clear()
     assert [[_raw(num._mzv_split(*w, cfg)) for w in words] for cfg in cfgs] == fresh
 
@@ -993,7 +1061,7 @@ def test_deep_word_recursion_stays_shallow():
     # call chain grows with the word
     import mtzeta.numerics as num
 
-    word = (1,) * 500
+    word = (num._letter(2, 0, False),) * 500
     want = num._li_half(word, 64)
     num._li_half.cache_clear()
     num._level.cache_clear()
