@@ -28,11 +28,11 @@ from . import __version__
 from .bernprod import carlitz_product, expand_by_partitions, expand_by_subsets, naive_product
 from .dirichlet import character_identities, enumerate_characters, gauss_sum, mt_l_value
 from .exact import _MAX_BERNOULLI
-from .mzvconvert import mt_to_mzv
-from .numerics import _GUARD_BITS, _MAX_PRECISION_BITS, EvalConfig, _assemble, _mag, _parts, lerch_phi, mt_direct, mt_via_mzv
+from .mzvconvert import check_mt_convergence, mt_to_mzv
+from .numerics import _MAX_PRECISION_BITS, EvalConfig, _assemble, _eval_atom, _mag, _parts, _route
 from .partitions import PartitionKind, enumerate_partitions
 from .reduction import Identity, cyclic_sum_identity
-from .symexpr import _canon_color, _canon_number, _frac_str, atom_to_json, expr_to_json
+from .symexpr import Expr, Z, _canon_color, _canon_number, _frac_str, atom_to_json, expr_to_json, mt_value
 
 SCHEMA = "mtzeta/1"
 # verify combines residuals at 53 bits, mpmath's default precision
@@ -137,7 +137,7 @@ def parse_complex(text: str) -> complex:
 def _nstr_parts(value: Any, digits: int, cfg: EvalConfig) -> tuple[str, str]:
     """Real and imaginary parts of a kernel value, rounded to ``digits``
     significant digits at the working precision the value was computed at."""
-    re, im = _parts(value, cfg.precision_bits + _GUARD_BITS)
+    re, im = _parts(value, cfg.prec)
     return libmp.to_str(re, digits), libmp.to_str(im, digits)
 
 
@@ -362,21 +362,12 @@ def _cmd_eval(args) -> int:
         chis = (ones,) * (len(exps) - 1) + (chi,)
         result = mt_l_value(exps, chis, cfg)  # it refuses a z that is not a positive integer
         route = "character-assembly"
-    else:
-        if z is not None and z.real < 1:
-            raise ValueError(f"Re(z) >= 1 required, got {z}")
-        alpha = args.alpha if args.alpha is not None else Fraction(0)
-        colors = (Fraction(0),) * (len(exps) - 1) + (alpha,)
-        if len(exps) == 1 or (len(exps) == 2 and not isinstance(exps[1], int)):
-            # one head slot and a non-integer z: MT(s_1, z) = phi(s_1 + z)
-            result = lerch_phi(sum(exps), alpha, cfg)
-            route = "lerch"
-        elif all(isinstance(e, int) for e in exps):
-            result = mt_via_mzv(exps, colors, cfg)
-            route = "conversion"
-        else:
-            result = mt_direct(exps, colors, cfg)
-            route = "direct"
+    else:  # a convergent sum only: mt_value((0,), (0,)) is EvenZeta(0) = -1/2
+        check_mt_convergence(exps)
+        atom = mt_value(s if z is None else s + (Z,), (0,) * (len(exps) - 1) + (args.alpha or 0,))
+        if z is not None:
+            (atom,) = Expr.atom(atom).substitute(z).atoms()
+        result, route = _eval_atom(atom, cfg), _route(atom)
     value_re, value_im = _nstr_parts(result.value, 25, cfg)
     payload = {
         "schema": SCHEMA,

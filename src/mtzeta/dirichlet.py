@@ -29,7 +29,6 @@ from .numerics import (
     DEFAULT_CONFIG,
     EvalConfig,
     EvalResult,
-    _GUARD_BITS,
     _RND,
     _assemble,
     _e_of,
@@ -208,7 +207,7 @@ def enumerate_characters(f: int) -> list[DirichletCharacter]:
 def gauss_sum(chi: DirichletCharacter, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     """tau(chi) = sum_{n=1..f} chi(n) e(n/f) at working precision."""
     f = chi.modulus
-    prec = cfg.precision_bits + _GUARD_BITS
+    prec = cfg.prec
     total = (libmp.fzero, libmp.fzero)
     for n in range(1, f + 1):
         a = chi.angle(n)
@@ -227,7 +226,7 @@ def fourier_weights(
     within 3 eps (numerics._e_of), the product within eps/2."""
     if not chi.primitive:
         raise ValueError(f"character index {chi.index} mod {chi.modulus} is not primitive")
-    prec = cfg.precision_bits + _GUARD_BITS
+    prec = cfg.prec
     tau = gauss_sum(chi.conjugate(), cfg)
     tv = _parts(tau.value, prec)
     inv = libmp.mpc_mpf_div(libmp.fone, tv, prec, _RND)
@@ -276,7 +275,7 @@ def mt_l_value(
             colors = [Fraction(j, chi.modulus) for chi, j in zip(chis, jvec)]
             yield 1, ws + [eval_expr(Expr.atom(mt_value(exps, colors)), cfg=cfg)]
 
-    return _assemble(terms(), cfg.precision_bits + _GUARD_BITS)
+    return _assemble(terms(), cfg.prec)
 
 
 def character_identities(

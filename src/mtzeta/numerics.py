@@ -26,11 +26,11 @@ Evaluation routes:
   truncated summation (mt_direct, the one route that loads numpy, on
   first use) as one-dimensional float64 convolutions over the totals.
 
-Negating every color of a value with real exponents conjugates it, so of
-two such MZV (phi at depth 1) or MT atoms with integer exponents only the
-one with the smaller key is evaluated (_eval_atom); the other gets the
-exact conjugate and the same bound.  The CLI's ``eval`` with one head slot
-and a non-integer z is phi(s_1 + z), which takes lerch_phi, not mt_direct.
+_route picks each atom's route, and _eval_atom, which evaluates every atom
+of eval_expr and of the CLI's ``eval``, takes it.  Negating every color of
+a value with real exponents conjugates it, so of two such MZV (phi at
+depth 1) or MT atoms with integer exponents only the one with the smaller
+key is evaluated; the other gets the exact conjugate and the same bound.
 
 Every value is computed at an explicit precision (libmp calls on raw
 tuples, fixed point, float64, or in hurwitz_zeta a private mpmath context
@@ -53,7 +53,7 @@ from mpmath.ctx_mp import MPContext
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
-from .symexpr import Atom, EvenZeta, Expr, MTValue, MZValue, _by_key, _canon_color, mt_value, mzv
+from .symexpr import Atom, EvenZeta, Expr, MZValue, _by_key, _canon_color, mt_value, mzv
 
 __all__ = [
     "EvalConfig",
@@ -99,6 +99,11 @@ class EvalConfig:
             raise ValueError(f"precision_bits must be in [64, {_MAX_PRECISION_BITS}]")
         if not self.target_tol > 0:
             raise ValueError("target_tol must be positive")
+
+    @property
+    def prec(self) -> int:
+        """The working precision of every kernel: precision_bits + _GUARD_BITS."""
+        return self.precision_bits + _GUARD_BITS
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -169,7 +174,7 @@ def even_zeta_rational(n: int) -> Fraction:
 
 
 def even_zeta(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    prec = cfg.precision_bits + _GUARD_BITS
+    prec = cfg.prec
     r = even_zeta_rational(n)
     num, den = (libmp.from_int(x, prec, _RND) for x in (r.numerator, r.denominator))
     pi_n = libmp.mpf_pow_int(libmp.mpf_pi(prec, _RND), n, prec, _RND)
@@ -200,7 +205,7 @@ def hurwitz_zeta(s: Any, a: Fraction = Fraction(1), cfg: EvalConfig = DEFAULT_CO
     a = Fraction(a)
     if not 0 < a <= 1:
         raise ValueError(f"need 0 < a <= 1, got {a}")
-    prec = cfg.precision_bits + _GUARD_BITS
+    prec = cfg.prec
     ctx, sv = _in_context(s, prec)
     sig = float(ctx.re(sv))
     if sv == 1:
@@ -504,7 +509,7 @@ def _mzv_split(exps: tuple[int, ...], cols: tuple[Fraction, ...], cfg: EvalConfi
     r <= min(1, |1 - e(G_j)|), p = 1 + r and q = 1 + 1/r, every letter has
     modulus >= 1 + r (trivial colors: p = q = 2).  The products are summed
     exactly in ints scaled by 2^(2F) and rounded once."""
-    prec = cfg.precision_bits + _GUARD_BITS
+    prec = cfg.prec
     F = prec + _LI_GUARD_BITS
     one = 1 << F
     Gs, G = [], Fraction(0)  # G_j of the letter e(G_j) that ends slot j
@@ -703,12 +708,22 @@ def _conjugate_twin(a: Atom) -> Atom | None:
     return (mzv if isinstance(a, MZValue) else mt_value)(a.exps, neg)
 
 
+def _route(a: Atom) -> str:
+    """lerch at depth 1 (EvenZeta and phi, which an MT value with one head
+    slot is), split for a deeper MZV, conversion for MT int exponents >= 1, else direct."""
+    if isinstance(a, EvenZeta) or len(a.exps) == 1:
+        return "lerch"
+    if isinstance(a, MZValue):
+        return "split"
+    return "conversion" if all(isinstance(e, int) and e >= 1 for e in a.exps) else "direct"
+
+
 # 4,096 entries: one colored-characters case list (seed 7) fills 715, one
 # paper-decimals list 119
 @functools.lru_cache(maxsize=1 << 12)
 def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
-    if isinstance(a, EvenZeta):
-        return even_zeta(a.n, cfg)
+    """Atom a on its _route, each kernel read by its module name at the call
+    (perfbench's tracer puts its wrappers under those names)."""
     if a.z_slot is not None:
         raise ValueError("unsubstituted z")
     # of a conjugate pair only the atom with the smaller key is evaluated;
@@ -720,17 +735,12 @@ def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
             re, im = r.value._mpc_
             return EvalResult(mp.make_mpc((re, libmp.mpf_neg(im))), r.bound)
         return r
-    if isinstance(a, MZValue):
-        if len(a.exps) == 1:
-            return lerch_phi(a.exps[0], a.colors[0], cfg)
-        if not all(isinstance(e, int) for e in a.exps):
-            raise ValueError(f"MZV evaluation needs integer exponents: {a}")
+    route = _route(a)
+    if route == "lerch":
+        return even_zeta(a.n, cfg) if isinstance(a, EvenZeta) else lerch_phi(a.exps[0], a.colors[0], cfg)
+    if route == "split":
         return mzv_eval(a.exps, a.colors, cfg)
-    if isinstance(a, MTValue):
-        if all(isinstance(e, int) and e >= 1 for e in a.exps):
-            return mt_via_mzv(a.exps, a.colors, cfg)
-        return mt_direct(a.exps, a.colors, cfg)
-    raise TypeError(f"cannot evaluate atom {a!r}")
+    return (mt_via_mzv if route == "conversion" else mt_direct)(a.exps, a.colors, cfg)
 
 
 def eval_expr(
@@ -755,8 +765,7 @@ def eval_expr(
         except ValueError as exc:
             raise ValueError(f"cannot evaluate {a}: {exc}") from exc
 
-    prec = cfg.precision_bits + _GUARD_BITS
-    return _assemble(((coeff, [results[a] for a in atoms]) for atoms, coeff in terms), prec)
+    return _assemble(((coeff, [results[a] for a in atoms]) for atoms, coeff in terms), cfg.prec)
 
 
 def _assemble(terms: Iterable[tuple[Fraction | int, Sequence[EvalResult]]], prec: int) -> EvalResult:

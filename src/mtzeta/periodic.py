@@ -188,7 +188,7 @@ def phi_em(s: Any, alpha: Fraction, cfg: EvalConfig) -> EvalResult:
     S_k by e(k alpha) (truncated to 2^F, within 2 ulps; exact for q = 1);
     plus q^-Re(s) times the q remainders (_em_remainder) and the final
     rounding to prec bits."""
-    prec = cfg.precision_bits + _GUARD_BITS
+    prec = cfg.prec
     sv = _raw_number(s, prec)
     sc = complex(libmp.to_float(sv[0]), libmp.to_float(sv[1]))
     if sv == (libmp.fone, libmp.fzero):

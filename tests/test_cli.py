@@ -2,6 +2,7 @@ import ast
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mtzeta
 from mtzeta import mzvconvert, reduction
@@ -400,8 +401,8 @@ def test_eval_direct_route(capsys):
 
 
 def test_eval_single_slot_route_is_lerch(capsys):
-    # one slot, or one head slot and a non-integer z (MT(s_1, z) =
-    # phi(s_1 + z)), goes to lerch_phi; two head slots stay direct
+    # one slot, or one head slot (MT(s_1; z) = phi(s_1 + z)), goes to
+    # lerch_phi; two head slots and a non-integer z stay direct
     for argv, route in (
         (["--s", "3"], "lerch"),
         (["--s", "5", "--alpha", "1/7"], "lerch"),
@@ -412,6 +413,90 @@ def test_eval_single_slot_route_is_lerch(capsys):
         assert json.loads(capsys.readouterr().out)["route"] == route, argv
     assert main(["eval", "--s", "2", "--z", "2.5"]) == 0
     assert json.loads(capsys.readouterr().out)["bound"] <= 1e-32
+
+
+def test_eval_two_integer_slots_is_phi(capsys):
+    # MT(s_1; t) = phi(s_1 + t): the values of the conversion route, with the
+    # bound of lerch_phi alone, not that plus 8 eps |v| for a one-term sum
+    from mtzeta.numerics import EvalConfig, lerch_phi
+
+    cfg = EvalConfig()
+    for argv, (re, im), (n, alpha), before in (
+        (["--s", "2", "--z", "3"], ("1.036927755143369926331365", "0.0"), (5, 0), 2.4595869727881895e-81),
+        (["--s", "2,3"], ("1.036927755143369926331365", "0.0"), (5, 0), 2.4595869727881895e-81),
+        (["--s", "1", "--z", "1", "--alpha", "2/3"], ("-0.5483113556160754788241384", "-0.676627737606435750014135"),
+         (2, Fraction(2, 3)), 2.0657749833744548e-81),
+    ):
+        assert main(["eval", *argv]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert (data["route"], data["value_re"], data["value_im"]) == ("lerch", re, im), argv
+        assert data["bound"] == lerch_phi(n, alpha, cfg).bound < before, argv
+
+
+def test_eval_zero_exponent_with_a_convergent_sum():
+    # --s 0 --z 2 and --s 0,2 are zeta(2); a divergent sum still exits 2,
+    # not with EvenZeta(0) = -1/2 for --s 0
+    want = json.loads(_run_main(["eval", "--s", "2"])[1])
+    for argv in (["--s", "0", "--z", "2"], ["--s", "0,2"]):
+        rc, out, _ = _run_main(["eval", *argv])
+        data = json.loads(out)
+        assert rc == 0 and [data[k] for k in ("value_re", "value_im", "bound")] == [want[k] for k in ("value_re", "value_im", "bound")]
+    for argv in (["--s", "0"], ["--s", "1"], ["--s", "0,0"], ["--s", "-1", "--z", "1"], ["--s", "0,0", "--z", "2"]):
+        rc, out, err = _run_main(["eval", *argv])
+        assert (rc, out) == (2, "") and "diverges" in err, argv
+
+
+def test_eval_and_verify_share_one_evaluation(monkeypatch, capsys):
+    # eval's MT({2}_6) is the atom verify evaluates, so the atom memo
+    # converts it once for both
+    from mtzeta import numerics
+
+    converted = []
+
+    def counting(exps, colors=None):
+        converted.append(tuple(exps))
+        return mzvconvert.mt_to_mzv(exps, colors)
+
+    monkeypatch.setattr(numerics, "mt_to_mzv", counting)
+    numerics._eval_atom.cache_clear()
+    flags = ["--s", "2,2,2,2,2", "--z", "2", "--precision-bits", "192", "--tol", "1e-16"]
+    assert main(["eval", *flags]) == 0 and main(["verify", *flags]) == 0
+    capsys.readouterr()
+    assert converted.count((2,) * 6) == 1
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(1, 4), min_size=2, max_size=3),
+    st.sampled_from(["2", "2.5", "1.5", "2+1i", "3-2i", "1.25+0.5i"]),
+    st.sampled_from(["0", "1/3", "2/5"]),
+)
+@example([2, 1, 4], "3-2i", "2/5")
+def test_eval_ignores_the_order_of_s(s, z, alpha):
+    # the head slots of an MT value commute: every permutation of --s is the
+    # same atom, evaluated the same way
+    outputs = set()
+    for perm in set(itertools.permutations(s)):
+        rc, out, _ = _run_main(["eval", "--s", ",".join(map(str, perm)), "--z", z, "--alpha", alpha])
+        data = json.loads(out)
+        outputs.add((rc, *(data[k] for k in ("route", "value_re", "value_im", "bound"))))
+    assert len(outputs) == 1, outputs
+
+
+def test_cli_imports_no_kernel():
+    # eval evaluates its atom through numerics._eval_atom, which owns the
+    # route table: cli.py names no kernel
+    kernels = {"lerch_phi", "mzv_eval", "mt_via_mzv", "mt_direct", "even_zeta", "hurwitz_zeta"}
+    path = Path(mtzeta.__file__).parent / "cli.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert not names & kernels
 
 
 def test_mt_direct_refuses_depth1(capsys):

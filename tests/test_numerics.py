@@ -1117,3 +1117,22 @@ def test_e_of_errs_by_a_few_units_whatever_the_argument():
                     err = max(abs(mp.mpf(re) - ref.real), abs(mp.mpf(im) - ref.imag))
                     worst = max(worst, float(mp.ldexp(err, prec)))
     assert worst <= 5, worst
+
+
+def test_only_numerics_and_periodic_name_guard_bits():
+    # the working precision has one owner, EvalConfig.prec: no other module
+    # adds _GUARD_BITS to precision_bits
+    import ast
+    from pathlib import Path
+
+    import mtzeta
+
+    found = []
+    for path in sorted(Path(mtzeta.__file__).parent.glob("*.py")):
+        if path.name in ("numerics.py", "periodic.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else node.name if isinstance(node, ast.alias) else None
+            if name == "_GUARD_BITS":
+                found.append((path.name, getattr(node, "lineno", None)))
+    assert not found
