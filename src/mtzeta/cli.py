@@ -362,7 +362,7 @@ def _cmd_eval(args) -> int:
         chis = (ones,) * (len(exps) - 1) + (chi,)
         result = mt_l_value(exps, chis, cfg)  # it refuses a z that is not a positive integer
         route = "character-assembly"
-    else:  # a convergent sum only: mt_value((0,), (0,)) is EvenZeta(0) = -1/2
+    else:  # a convergent sum only: mt_value((0,), (0,)) is zeta(0) = -1/2
         check_mt_convergence(exps)
         atom = mt_value(s if z is None else s + (Z,), (0,) * (len(exps) - 1) + (args.alpha or 0,))
         if z is not None:

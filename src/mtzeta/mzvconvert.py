@@ -193,7 +193,7 @@ def mt_to_mzv(
 
 
 def _check_conserved(atom: Atom, weight: int, depth: int) -> None:
-    # an MT value of depth >= 2 rewrites to MZVs of depth >= 2, never EvenZeta
+    # an MT value of depth >= 2 rewrites to MZVs of depth >= 2
     if not isinstance(atom, MZValue):  # pragma: no cover
         raise AssertionError(f"unexpected atom {atom!r}")
     assert sum(atom.exps) == weight, "weight not conserved"

@@ -53,7 +53,7 @@ from mpmath.ctx_mp import MPContext
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
-from .symexpr import Atom, EvenZeta, Expr, MZValue, _by_key, _canon_color, mt_value, mzv
+from .symexpr import Atom, Expr, MZValue, _by_key, _canon_color, mt_value, mzv
 
 __all__ = [
     "EvalConfig",
@@ -698,9 +698,8 @@ def mt_direct(
 def _conjugate_twin(a: Atom) -> Atom | None:
     """The atom with every color negated, whose value is the complex
     conjugate of a's, for a z-free MZV (phi at depth 1) or MT atom with int
-    exponents; None for EvenZeta or when every color is 0 or 1/2 (its own
-    negative)."""
-    if isinstance(a, EvenZeta) or all(c.denominator <= 2 for c in a.colors):
+    exponents; None when every color is 0 or 1/2 (its own negative)."""
+    if all(c.denominator <= 2 for c in a.colors):
         return None
     if not all(isinstance(e, int) for e in a.exps):
         return None
@@ -709,9 +708,9 @@ def _conjugate_twin(a: Atom) -> Atom | None:
 
 
 def _route(a: Atom) -> str:
-    """lerch at depth 1 (EvenZeta and phi, which an MT value with one head
-    slot is), split for a deeper MZV, conversion for MT int exponents >= 1, else direct."""
-    if isinstance(a, EvenZeta) or len(a.exps) == 1:
+    """lerch at depth 1 (phi, even zeta(n) included), split for a deeper
+    MZV, conversion for MT int exponents >= 1, else direct."""
+    if len(a.exps) == 1:
         return "lerch"
     if isinstance(a, MZValue):
         return "split"
@@ -737,7 +736,8 @@ def _eval_atom(a: Atom, cfg: EvalConfig) -> EvalResult:
         return r
     route = _route(a)
     if route == "lerch":
-        return even_zeta(a.n, cfg) if isinstance(a, EvenZeta) else lerch_phi(a.exps[0], a.colors[0], cfg)
+        # the even form, keyed (0, n), keeps its closed form
+        return even_zeta(a.exps[0], cfg) if a.key[0] == 0 else lerch_phi(a.exps[0], a.colors[0], cfg)
     if route == "split":
         return mzv_eval(a.exps, a.colors, cfg)
     return (mt_via_mzv if route == "conversion" else mt_direct)(a.exps, a.colors, cfg)

@@ -3,34 +3,36 @@ transcendental atoms, with one optional symbolic variable z in exponent slots.
 
 Atoms
 -----
-* ``EvenZeta(n)``: zeta at an even integer n >= 0 (kept symbolic; n = 0 is
-  legal and evaluates to -1/2).
 * ``MTValue(exps, colors, z_slot)``: a Mordell-Tornheim value of depth >= 2; the
-  last slot is the total-sum slot.  The first-depth slots are sorted, since
-  the underlying series is symmetric under permuting them jointly with
-  their colors.  Input of one slot, or of two (depth 1), collapses to
-  phi, the depth-1 ``MZValue``.
+  last slot is the total-sum slot.  The head slots are sorted, since the
+  underlying series is symmetric under permuting them jointly with their
+  colors.
 * ``MZValue(exps, colors, z_slot)``: a (colored) multiple zeta value; slots are
   ordered leading-first and never sorted.  Depth 1 is the periodic zeta
   phi(e; color) = sum over m >= 1 of e(color*m)/m^e, printed ``phi(e; c)``
-  and serialized as type "lerch".  Its trivial-color even-integer form is
-  ``EvenZeta``, and the constructor rejects it.
+  and serialized as type "lerch".  Its trivial-color form at an even
+  integer n is zeta(n), keyed (0, n), printed ``zeta(n)`` and serialized
+  as type "even_zeta"; ``EvenZeta(n)`` builds it (n = 0 is legal and
+  evaluates to -1/2).
 
-Build atoms with ``lerch`` (phi), ``mt_value`` and ``mzv``: they check
-and canonicalize their slots in one function (``_slots``), and
-``mt_value`` sorts the head slots and collapses one or two slots to phi.
+One function, ``_canonical``, decides every atom's form: the builders
+``lerch`` (phi), ``mt_value`` and ``mzv`` call it, and so does
+``Expr.substitute``, so a substituted atom is the one a builder makes from
+the same numbers.  It checks the slots, reduces the colors, sorts MT head
+slots and collapses an MT value of one slot, of two slots, or with a zero
+head exponent at depth 2, to an MZV.
 
 Colors are rationals reduced mod 1 by ``_canon_color``, the one place in
 the package that reduces a color; color 0 is the trivial phase.
 Exponents are plain numbers, and an atom names at most one z slot:
 ``z_slot`` is the index of the slot whose value is z + exps[z_slot], or
 None.  Builders write that slot as ``Z`` or ``Z.shift(k)``, which only
-``_slots`` reads; it refuses two.  A product term may contain at most one
-z-bearing atom (constructions that would violate this signal a bug and are
-rejected).  ``Expr.substitute`` replaces z by a number, after which no slot
-names z, the slots hold plain numbers (int, float, Fraction or complex) and
-the atoms keep their classes.  Each atom computes its key once, when it is
-built: equality, hashing and the canonical order all read it.
+``_canonical`` reads; it refuses two.  A product term may contain at most
+one z-bearing atom (constructions that would violate this signal a bug
+and are rejected).  ``Expr.substitute`` replaces z by a number, after
+which no slot names z and the slots hold plain numbers (int, float,
+Fraction or complex).  Each atom computes its key once, when it is built:
+equality, hashing and the canonical order all read it.
 
 ``Expr`` is a map from atom multisets to rational coefficients.  The map is
 canonical: no zero coefficients, atoms sorted by a fixed total order, so
@@ -42,6 +44,7 @@ every term at once rather than adding one-term expressions in a loop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -62,7 +65,7 @@ __all__ = [
 
 
 class _ZPlus(NamedTuple):
-    """z + k in a builder's slot list; only ``_slots`` reads it."""
+    """z + k in a builder's slot list; only ``_canonical`` reads it."""
 
     k: int = 0
 
@@ -87,15 +90,24 @@ def _canon_number(v: Any) -> Any:
 
 
 class _Atom:
-    """An atom is its key, computed once when it is built: ==, hash and the
-    canonical order all read it.  A subclass sets ``key`` in its
-    constructor through ``_identify``; atoms are not changed afterwards.
-    EvenZeta names no z slot."""
+    """The body of MTValue and MZValue: one exponent and one color per slot,
+    and ``z_slot``, the index of the slot that holds z + exps[z_slot], or
+    None.  Each class sets TAG, which leads its key, TYPE, its JSON type and
+    printed name (phi at depth 1), and ``depth``.  An atom is its key,
+    computed once when it is built: ==, hash and the canonical order all
+    read it.  An exponent enters the key as (holds z, real part, imaginary
+    part); ``_canonical`` keys the even form (0, n).  Atoms are not changed
+    afterwards."""
 
-    __slots__ = ("key", "_hash")
-    z_slot = None
+    __slots__ = ("exps", "colors", "z_slot", "key", "_hash")
 
-    def _identify(self, key: tuple) -> None:
+    def __init__(
+        self, exps: tuple, colors: tuple[Fraction, ...], z_slot: Optional[int] = None, key: Optional[tuple] = None
+    ):
+        self.exps, self.colors, self.z_slot = exps, colors, z_slot
+        if key is None:
+            slots = tuple((i == z_slot, e.real, e.imag) for i, e in enumerate(exps))
+            key = (self.TAG, len(exps), slots, colors)
         self.key, self._hash = key, hash(key)
 
     def __eq__(self, other: object) -> bool:
@@ -107,35 +119,9 @@ class _Atom:
     def __repr__(self) -> str:
         return str(self)
 
-
-class EvenZeta(_Atom):
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 0 or n % 2:
-            raise ValueError(f"EvenZeta argument must be even >= 0, got {n}")
-        self.n = n
-        self._identify((0, n))
-
     def __str__(self) -> str:
-        return f"zeta({self.n})"
-
-
-class _Slotted(_Atom):
-    """The body of MTValue and MZValue: one exponent and one color per slot,
-    and ``z_slot``, the index of the slot that holds z + exps[z_slot], or
-    None.  Each class sets TAG, which leads its key, TYPE, its JSON type and
-    printed name (phi at depth 1), and ``depth``.  An exponent enters the
-    key as (holds z, real part, imaginary part)."""
-
-    __slots__ = ("exps", "colors", "z_slot")
-
-    def __init__(self, exps: tuple, colors: tuple[Fraction, ...], z_slot: Optional[int] = None):
-        self.exps, self.colors, self.z_slot = exps, colors, z_slot
-        slots = tuple((i == z_slot, e.real, e.imag) for i, e in enumerate(exps))
-        self._identify((self.TAG, len(exps), slots, colors))
-
-    def __str__(self) -> str:
+        if self.key[0] == 0:
+            return f"zeta({self.exps[0]})"
         args = ",".join(
             str(e) if i != self.z_slot else f"z+{e}" if e else "z" for i, e in enumerate(self.exps)
         )
@@ -143,7 +129,7 @@ class _Slotted(_Atom):
         return f"{self.TYPE if self.depth > 1 else 'phi'}({args}; {cols})"
 
 
-class MTValue(_Slotted):
+class MTValue(_Atom):
     __slots__ = ()
     TAG, TYPE = 4, "mt"
 
@@ -152,34 +138,30 @@ class MTValue(_Slotted):
         return len(self.exps) - 1
 
 
-class MZValue(_Slotted):
+class MZValue(_Atom):
     __slots__ = ()
     TAG, TYPE = 3, "mzv"
-
-    def __init__(self, exps: tuple, colors: tuple[Fraction, ...], z_slot: Optional[int] = None):
-        if _even_zeta_form(exps, colors, z_slot):
-            raise ValueError(f"trivial-color phi at {exps[0]} is EvenZeta")
-        super().__init__(exps, colors, z_slot)
 
     @property
     def depth(self) -> int:
         return len(self.exps)
 
 
-Atom = Union[EvenZeta, MTValue, MZValue]
+Atom = Union[MTValue, MZValue]
 
 
-def _even_zeta_form(es: tuple, cs: tuple[Fraction, ...], z_slot: Optional[int]) -> bool:
-    """Whether the slots are those of a trivial-color phi at an even integer."""
-    return len(es) == 1 and z_slot is None and not cs[0] and isinstance(es[0], Integral) and es[0] % 2 == 0
-
-
-def _slots(
-    exps: Sequence[Union[int, _ZPlus]], colors: Sequence[Union[int, Fraction]]
-) -> tuple[tuple[int, ...], tuple[Fraction, ...], Optional[int]]:
-    """The checked slots of an atom: integer exponents, colors reduced mod
-    1, and the index of the one slot given as z + k (which then holds k),
-    or None; at least one slot."""
+def _canonical(
+    cls: type, exps: Sequence[Union[int, _ZPlus]], colors: Sequence[Union[int, Fraction]], z0: Any = None
+) -> Atom:
+    """The canonical atom of class cls (MTValue or MZValue) on these slots,
+    the one place that decides an atom's form.  The exponents are integers,
+    at most one of them z + k, written ``Z.shift(k)``, which z0, if given,
+    replaces by z0 + k; the colors are reduced mod 1.  An MT value sorts its
+    head slots, the integers first in order, then the z or non-integer slot,
+    and collapses: one slot is phi, two slots MT(s; t) = phi(s + t), and
+    MT(0, b; t) with integers b >= 1, t >= 2 sums its free index out to
+    zeta(t, b) with colors (c_1 + c_t, c_2 - c_1).  The trivial-color phi
+    at an even integer n is zeta(n), keyed (0, n)."""
     es, z_slot = [], None
     for i, e in enumerate(exps):
         if isinstance(e, _ZPlus):
@@ -189,12 +171,27 @@ def _slots(
         elif not isinstance(e, Integral):
             raise TypeError(f"exponent slot needs an integer or Z.shift(k), got {e!r}")
         es.append(int(e))
-    cs = tuple(_canon_color(c) for c in colors)
+    if z0 is not None and z_slot is not None:
+        es[z_slot], z_slot = _canon_number(es[z_slot] + z0), None
+    cs = [_canon_color(c) for c in colors]
     if len(es) != len(cs):
         raise ValueError("exponent/color length mismatch")
     if not es:
         raise ValueError("an atom needs at least one slot")
-    return tuple(es), cs, z_slot
+    if cls is MTValue and len(es) == 2:
+        es, cs, z_slot = [es[0] + es[1]], [_canon_color(cs[0] + cs[1])], None if z_slot is None else 0
+    if cls is MTValue and len(es) > 2:
+        order = sorted(
+            range(len(es) - 1), key=lambda i: (i == z_slot or not isinstance(es[i], int), es[i], cs[i])
+        ) + [len(es) - 1]
+        es, cs = [es[i] for i in order], [cs[i] for i in order]
+        z_slot = None if z_slot is None else order.index(z_slot)
+        if len(es) == 3 and es[0] == 0 and z_slot is None and all(isinstance(e, int) for e in es):
+            if es[1] >= 1 and es[2] >= 2:
+                return MZValue((es[2], es[1]), (_canon_color(cs[0] + cs[2]), _canon_color(cs[1] - cs[0])))
+        return MTValue(tuple(es), tuple(cs), z_slot)
+    even = len(es) == 1 and z_slot is None and not cs[0] and isinstance(es[0], int) and es[0] % 2 == 0
+    return MZValue(tuple(es), tuple(cs), z_slot, (0, es[0]) if even else None)
 
 
 def lerch(exp: Union[int, _ZPlus], color: Union[int, Fraction]) -> Atom:
@@ -205,33 +202,23 @@ def lerch(exp: Union[int, _ZPlus], color: Union[int, Fraction]) -> Atom:
 def mt_value(
     exps: Sequence[Union[int, _ZPlus]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
-    """MT atom with sorted head slots; one slot is phi, and two slots
-    MT(s; t) = phi(s + t)."""
-    es, cs, z_slot = _slots(exps, colors)
-    if len(es) == 2:
-        es, cs, z_slot = (es[0] + es[1],), (_canon_color(cs[0] + cs[1]),), None if z_slot is None else 0
-    if len(es) == 1:
-        return _phi_or_mzv(es, cs, z_slot)
-    # the z slot sorts after the other head slots, as its key does
-    order = sorted(range(len(es) - 1), key=lambda i: (i == z_slot, es[i], cs[i])) + [len(es) - 1]
-    return MTValue(
-        tuple(es[i] for i in order),
-        tuple(cs[i] for i in order),
-        None if z_slot is None else order.index(z_slot),
-    )
+    """MT atom in its canonical form (``_canonical``)."""
+    return _canonical(MTValue, exps, colors)
 
 
 def mzv(
     exps: Sequence[Union[int, _ZPlus]], colors: Sequence[Union[int, Fraction]]
 ) -> Atom:
-    """Colored MZV atom; a trivial-color even-integer phi is EvenZeta."""
-    return _phi_or_mzv(*_slots(exps, colors))
+    """Colored MZV atom, leading slot first; its depth-1 value is phi."""
+    return _canonical(MZValue, exps, colors)
 
 
-def _phi_or_mzv(es: tuple, cs: tuple[Fraction, ...], z_slot: Optional[int]) -> Atom:
-    if _even_zeta_form(es, cs, z_slot):
-        return EvenZeta(es[0])
-    return MZValue(es, cs, z_slot)
+@functools.lru_cache(maxsize=1 << 8)
+def EvenZeta(n: int) -> MZValue:
+    """zeta(n) at an even n >= 0, the trivial-color phi, built once per n."""
+    if n < 0 or n % 2:
+        raise ValueError(f"EvenZeta argument must be even >= 0, got {n}")
+    return _canonical(MZValue, (n,), (0,))
 
 
 TermKey = tuple  # sorted tuple of atoms
@@ -336,8 +323,9 @@ class Expr:
     # -- substitution ---------------------------------------------------
 
     def substitute(self, z0: Any) -> "Expr":
-        """Replace z by a number everywhere; the slots that held z now hold
-        numbers.  Requires Re(z0) >= 1 (evaluation domain)."""
+        """Replace z by a number everywhere: each atom that held z becomes
+        the one a builder makes of its numbers.  Requires Re(z0) >= 1
+        (evaluation domain)."""
         if complex(z0).real < 1:
             raise ValueError(f"substitution requires Re(z) >= 1, got {z0!r}")
         return Expr(
@@ -347,12 +335,10 @@ class Expr:
 
 
 def _substitute_atom(a: Atom, z0: Any) -> Atom:
-    """A depth-1 value may become EvenZeta; MT head slots are not re-sorted."""
     i = a.z_slot
     if i is None:
         return a
-    exps = a.exps[:i] + (_canon_number(a.exps[i] + z0),) + a.exps[i + 1 :]
-    return _phi_or_mzv(exps, a.colors, None) if isinstance(a, MZValue) else MTValue(exps, a.colors)
+    return _canonical(type(a), a.exps[:i] + (Z.shift(a.exps[i]),) + a.exps[i + 1 :], a.colors, z0)
 
 
 _by_key = operator.attrgetter("key")
@@ -371,17 +357,15 @@ def _exp_json(a: Atom, i: int) -> Any:
 
 
 def atom_to_json(a: Atom) -> dict:
-    if isinstance(a, EvenZeta):
-        return {"type": "even_zeta", "n": a.n}
+    if a.key[0] == 0:
+        return {"type": "even_zeta", "n": a.exps[0]}
     if isinstance(a, MZValue) and len(a.exps) == 1:
         return {"type": "lerch", "exp": _exp_json(a, 0), "color": _frac_str(a.colors[0])}
-    if isinstance(a, _Slotted):
-        return {
-            "type": a.TYPE,
-            "exps": [_exp_json(a, i) for i in range(len(a.exps))],
-            "colors": [_frac_str(c) for c in a.colors],
-        }
-    raise TypeError(f"cannot serialize {a!r}")
+    return {
+        "type": a.TYPE,
+        "exps": [_exp_json(a, i) for i in range(len(a.exps))],
+        "colors": [_frac_str(c) for c in a.colors],
+    }
 
 
 def expr_to_json(e: Expr) -> list[dict]:

@@ -228,6 +228,24 @@ def test_numeric_outputs_match_recorded_digests(capsys):
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, case
 
 
+def test_benchmark_records_match_recorded_digests(monkeypatch):
+    # sha256 of the worker records of the paper-decimals and
+    # colored-characters case lists at seed 7, as the benchmark's worker
+    # makes them; the complex-z cases are left out, whose float64 mt_direct
+    # sums may differ across numpy builds
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import worker
+    import workloads
+
+    for workload, digest in (
+        ("paper-decimals", "7142c0351eb12eccb08b80a10c45062e22d57f9ed7b6c2540e02a9dd166af393"),
+        ("colored-characters", "b9e867fb4219cc98bb0b9877e7ca88fb0ede3491bf4c4b8d7d6e28de39ef4f6f"),
+    ):
+        cases = [c for c in workloads.build_cases(workload, 7) if not c["id"].endswith(("z=2+1i", "z=3+2i"))]
+        records = [worker.run_cli(c["argv"]) if c["kind"] == "cli" else worker.run_expr(c) for c in cases]
+        assert hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest() == digest, workload
+
+
 def test_huge_z_refused_at_once_in_a_short_message(capsys):
     # z = 1e300 makes a 301-digit exponent: the refusal comes before any
     # work, and the message prints it as its leading digits and its length
@@ -444,6 +462,26 @@ def test_eval_zero_exponent_with_a_convergent_sum():
     for argv in (["--s", "0"], ["--s", "1"], ["--s", "0,0"], ["--s", "-1", "--z", "1"], ["--s", "0,0", "--z", "2"]):
         rc, out, err = _run_main(["eval", *argv])
         assert (rc, out) == (2, "") and "diverges" in err, argv
+
+
+def test_eval_zero_head_exponent_is_an_mzv():
+    # MT(0, 2; 3) = zeta(3, 2), with the color of the total slot on the
+    # leading index: the split route's value and bound, nothing on stderr
+    from mpmath import mp, mpf
+
+    from mtzeta.numerics import EvalConfig, mzv_eval
+
+    for extra, alpha in (([], 0), (["--alpha", "1/3"], Fraction(1, 3))):
+        rc, out, err = _run_main(["eval", "--s", "0,2", "--z", "3", *extra])
+        data = json.loads(out)
+        assert (rc, err, data["route"]) == (0, "", "split") and data["bound"] < 1e-70
+        want = mzv_eval((3, 2), (alpha, 0), EvalConfig())
+        with mp.workprec(256):
+            got = mp.mpc(mpf(data["value_re"]), mpf(data["value_im"]))
+            assert abs(got - want.value) <= want.bound + 1e-25  # 25 printed digits
+    # next to a non-integer slot the zero head keeps the direct route
+    rc, out, _ = _run_main(["eval", "--s", "0,2", "--z", "3.5"])
+    assert rc == 0 and json.loads(out)["route"] == "direct"
 
 
 def test_eval_and_verify_share_one_evaluation(monkeypatch, capsys):

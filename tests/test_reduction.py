@@ -48,7 +48,7 @@ def test_subset_reduction_depth_bound():
                     if isinstance(a, MTValue):
                         assert a.depth == len(s) + 1 - size <= len(s) - 1
                     else:
-                        assert isinstance(a, EvenZeta) or (isinstance(a, MZValue) and a.depth == 1)
+                        assert isinstance(a, MZValue) and a.depth == 1  # phi, or its even form zeta(2r)
 
 
 def test_cyclic_lhs_sign_pattern():
@@ -281,7 +281,7 @@ def test_rhs_atoms_have_lower_depth():
                 if isinstance(a, MTValue):
                     assert a.depth <= len(s) - 1
                 else:
-                    assert isinstance(a, EvenZeta) or (isinstance(a, MZValue) and a.depth == 1)
+                    assert isinstance(a, MZValue) and a.depth == 1  # phi, or its even form zeta(2r)
 
 
 def _units(s, subsets=None):

@@ -10,7 +10,7 @@ from mtzeta.symexpr import (
     MTValue,
     MZValue,
     Z,
-    _slots,
+    _canonical,
     atom_to_json,
     lerch,
     mt_value,
@@ -88,6 +88,9 @@ def test_substitute_examples():
     assert coeff == 1
     assert atoms[0] == MTValue((1, 1, 2), (Fraction(0), Fraction(0), Fraction(1, 3)))
     assert atoms[0].z_slot is None and next(m.atoms()).z_slot == 2
+    # MT(3, z, 2) at z = 1 is the built MT(1, 3, 2)
+    e = Expr.atom(mt_value((3, Z, 2), (0, 0, 0))) - Expr.atom(mt_value((1, 3, 2), (0, 0, 0)))
+    assert e.substitute(1) == Expr()
 
 
 def test_substitute_domain():
@@ -118,19 +121,41 @@ def test_substitute_mixed_slots_sort_and_evaluate():
 
 
 def test_lerch_rejects_even_zeta_form():
-    with pytest.raises(ValueError, match="EvenZeta"):
-        MZValue((4,), (Fraction(0),))
-    assert lerch(4, 0) == EvenZeta(4)
-    MZValue((4,), (Fraction(1, 2),))  # colored: a genuine phi value
-    MZValue((5,), (Fraction(0),))  # odd: zeta(5) stays a depth-1 MZV
-    MZValue((4,), (Fraction(0),), 0)  # z + 4: not a number yet
+    # the trivial-color phi at an even integer is its even form zeta(n), keyed
+    # (0, n); a colored, odd or z-bearing phi is a genuine phi value
+    assert lerch(4, 0) == EvenZeta(4) and lerch(4, 0).key == (0, 4)
+    for a in (lerch(4, Fraction(1, 2)), lerch(5, 0), lerch(Z.shift(4), 0)):
+        assert a.key[:2] == (3, 1) and str(a).startswith("phi(")
+
+
+def test_even_zeta_is_one_atom():
+    # EvenZeta(n), mzv((n,), (0,)), lerch(n, 0) and phi(z + j; 0) at z = n - j
+    # are one atom, printed zeta(n) and serialized as even_zeta
+    for n in (0, 2, 4, 10):
+        subs = [Expr.atom(lerch(Z.shift(j), 0)).substitute(n - j) for j in (-1, 0, n - 1) if n - j >= 1]
+        atoms = [EvenZeta(n), mzv((n,), (0,)), lerch(n, 0)] + [next(e.atoms()) for e in subs]
+        for a in atoms:
+            assert (a, a.key, hash(a), str(a)) == (atoms[0], (0, n), hash((0, n)), f"zeta({n})")
+            assert atom_to_json(a) == {"type": "even_zeta", "n": n}
+
+
+def test_zero_head_exponent_is_an_mzv():
+    # MT(0, b; t) sums its free index out: zeta(t, b) with colors
+    # (c_1 + c_t, c_2 - c_1); at depth 3, or with z, it stays an MT value
+    c = (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))
+    assert mt_value((2, 0, 3), (c[1], c[0], c[2])) == mzv((3, 2), (c[0] + c[2], c[1] - c[0]))
+    assert mt_value((0, 2, 3), (0, 0, 0)) == mzv((3, 2), (0, 0))
+    for exps in ((0, 2, 1, 3), (0, 2, Z), (0, Z, 3), (0, 0, 3), (0, 2, 1)):
+        assert isinstance(mt_value(exps, (0,) * len(exps)), MTValue), exps
+    (a,) = Expr.atom(mt_value((0, 2, Z), (0, 0, 0))).substitute(3).atoms()
+    assert a == mzv((3, 2), (0, 0))
 
 
 def _four_class_key(a):
     """The sort key of the scheme in which phi was a class of its own, tagged
-    2 between EvenZeta (0), MZVs (3) and MT values (4)."""
-    if isinstance(a, EvenZeta):
-        return (0, a.n)
+    2 between even zetas (0), MZVs (3) and MT values (4)."""
+    if isinstance(a, MZValue) and a.colors == (0,) and a.z_slot is None and a.exps[0] % 2 == 0:
+        return (0, a.exps[0])
     exps = a.key[2]
     if isinstance(a, MZValue) and len(exps) == 1:
         return (2, exps[0], a.colors[0])
@@ -216,25 +241,22 @@ def test_atom_identity_is_its_key(pair):
 @settings(derandomize=True, max_examples=200)
 @given(_built(), st.integers(1, 4))
 def test_substitution_keys_as_the_built_atom(x, z0):
+    # substituting an integer for z gives the atom built with that integer:
+    # MT head slots re-sorted, even forms and collapses included
     builder, slots, colors = x
     ((atoms, _),) = Expr.atom(_build(*x)).substitute(z0).items()
     (got,) = atoms
     direct = _build(builder, [z0 + e.k if isinstance(e, type(Z)) else e for e in slots], colors)
-    if isinstance(got, MTValue):
-        # the key was computed afresh, without the z flag ...
-        assert got.key == MTValue(got.exps, got.colors).key
-        # ... and substitution keeps the z slot's place among the head slots
-        got = mt_value(got.exps, got.colors)
     assert got.key == direct.key and got == direct and hash(got) == hash(direct)
 
 
 @settings(derandomize=True, max_examples=100)
 @given(_built(z_slots=st.just(2)).filter(lambda x: x[0] is not lerch))
 def test_two_z_slots_refused(x):
-    # at _slots, before mt_value's two-slot collapse could add z to z
+    # at _canonical's slot check, before mt_value's two-slot collapse could add z to z
     builder, slots, colors = x
     with pytest.raises(ValueError, match="at most one slot may carry z"):
-        _slots(slots, colors)
+        _canonical(MZValue, slots, colors)
     with pytest.raises(ValueError, match="at most one slot may carry z"):
         builder(slots, colors)
 
