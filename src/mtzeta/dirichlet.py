@@ -11,8 +11,8 @@ The character-to-color bridge rests on the Fourier expansion of a
 primitive character, chi(m) = (1/tau(conj chi)) sum_a conj(chi)(a) e(am/f):
 every character-twisted sum is a conj(chi)(a)/tau(conj chi)-weighted
 combination of colored values at colors a/f.  (For real characters the
-conjugation is invisible; the depth-1 consistency check against the
-Hurwitz route pins the convention for complex ones.)
+conjugation is invisible; for complex ones a depth-1 check against
+L(s, chi) = f^-s sum_a chi(a) zeta(s, a/f) pins the convention.)
 """
 
 from __future__ import annotations
@@ -33,12 +33,13 @@ from .numerics import (
     _assemble,
     _e_of,
     _eps,
+    _eval_atom,
     _mag,
     _parts,
-    eval_expr,
 )
+from .mzvconvert import check_mt_convergence
 from .reduction import Identity, cyclic_sum_identity
-from .symexpr import Expr, _canon_color, mt_value
+from .symexpr import _canon_color, mt_value
 
 __all__ = [
     "DirichletCharacter",
@@ -253,13 +254,15 @@ def mt_l_value(
         sum over j in prod [1..f_i] of prod_i w_(j_i)(chi_i)
             * colored MT value at colors (j_1/f_1, ..., j_d/f_d),
 
-    the w being the fourier_weights of each chi_i, combined by the same
-    _assemble as eval_expr.  Requires every character primitive (the color
+    the w being the fourier_weights of each chi_i and each colored value an
+    atom of _eval_atom, combined by the same _assemble as eval_expr.
+    Requires a convergent sum and every character primitive (the color
     bridge needs it); the f-grid size is at most ``MAX_GRID``.
     """
     exps = tuple(exps)
     if any(not isinstance(e, int) or e < 1 for e in exps):
         raise ValueError(f"assembly needs positive integer exponents, got {exps}")
+    check_mt_convergence(exps)
     if len(chis) != len(exps):
         raise ValueError("need one character per slot")
     weights = [fourier_weights(chi, cfg) for chi in chis]
@@ -273,7 +276,7 @@ def mt_l_value(
             if None in ws:
                 continue
             colors = [Fraction(j, chi.modulus) for chi, j in zip(chis, jvec)]
-            yield 1, ws + [eval_expr(Expr.atom(mt_value(exps, colors)), cfg=cfg)]
+            yield 1, ws + [_eval_atom(mt_value(exps, colors), cfg)]
 
     return _assemble(terms(), cfg.prec)
 

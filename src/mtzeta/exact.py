@@ -28,8 +28,7 @@ __all__ = [
 # Fraction recurrence: B_976 takes about 8 s on one x86-64 core.  976 is the
 # largest even n below 978, from which the split route (numerics._li_terms)
 # refuses zeta(n), so zeta(n) is refused from n = 978 whatever its parity.
-# It is far above the B_326 that phi and hurwitz_zeta need at the largest
-# precision.
+# It is far above the B_326 that periodic.phi_em needs at 958 bits.
 _MAX_BERNOULLI = 976
 
 # B_0..B_n, grown on demand.  The table is a tuple, rebound after each

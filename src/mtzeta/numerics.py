@@ -10,10 +10,9 @@ bound is acceptable but an invalid one is a bug.
 Evaluation routes:
 
 * even zeta values are exact rationals times a power of pi;
-* Riemann/Hurwitz zeta by Euler-Maclaurin with the explicit remainder,
-  for Re(s) > 1 (absolute convergence; nothing is continued analytically);
 * phi (periodic zeta, the depth-1 MZV) at rational color p/q and a
-  non-integer exponent (a substituted complex z), trivial color included:
+  non-integer exponent (a substituted complex z), trivial color included,
+  for Re(s) > 1 (absolute convergence; nothing is continued analytically):
   the head n <= qM in fixed point, one libmp power per prime and one
   product per composite, then q Euler-Maclaurin tails zeta(s, M + r/q),
   one per residue class, from one coefficient table (periodic.phi_em);
@@ -33,9 +32,9 @@ depth 1) or MT atoms with integer exponents only the one with the smaller
 key is evaluated; the other gets the exact conjugate and the same bound.
 
 Every value is computed at an explicit precision (libmp calls on raw
-tuples, fixed point, float64, or in hurwitz_zeta a private mpmath context
-built for the call): mpmath's global precision is never read or set, so no
-result depends on the caller's mp.prec and no kernel takes a lock.
+tuples, fixed point or float64; no mpmath context is built): mpmath's
+global precision is never read or set, so no result depends on the
+caller's mp.prec and no kernel takes a lock.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from operator import floordiv, rshift
 from typing import Any, Iterable, Sequence
 
 from mpmath import libmp, mp, mpc
-from mpmath.ctx_mp import MPContext
 
 from .exact import bernoulli
 from .mzvconvert import check_mt_convergence, mt_to_mzv
@@ -60,7 +58,6 @@ __all__ = [
     "EvalResult",
     "even_zeta_rational",
     "even_zeta",
-    "hurwitz_zeta",
     "lerch_phi",
     "mzv_eval",
     "mt_direct",
@@ -74,11 +71,10 @@ _GUARD_BITS = 16
 _LI_GUARD_BITS = 48
 # Term budget of the truncated-sum routes (split factors, direct MT sums).
 _MAX_TERMS = 4_000_000
-# Budget of Euler-Maclaurin head terms: the M of one hurwitz_zeta call, one
-# mpmath complex power each, 5 to 8 s on one x86-64 core at 64 to 256 bits;
-# or the qM of one phi at a non-integer exponent (periodic.phi_em), mostly
-# fixed-point products, 0.4 to 0.8 s at 64 to 256 bits and 2.8 s at 958.
-# phi(4.5; 1/500) needs 500 x 90 at 256.
+# Budget of Euler-Maclaurin head terms: the qM of one phi at a non-integer
+# exponent (periodic.phi_em), mostly fixed-point products, 0.4 to 0.8 s on
+# one x86-64 core at 64 to 256 bits and 2.8 s at 958.  phi(4.5; 1/500)
+# needs 500 x 90 at 256.
 _MAX_HEAD_TERMS = 1 << 16
 # Largest precision_bits whose bound terms stay normal floats.  The
 # smallest scale any bound term carries is the ulp 2^-F of _li_half, with
@@ -148,20 +144,8 @@ def _e_of(x: Fraction, prec: int) -> tuple:
     return libmp.mpf_cos_sin_pi(libmp.from_rational(2 * x.numerator, x.denominator, prec, _RND), prec, _RND)
 
 
-def _in_context(s: Any, prec: int) -> tuple[MPContext, Any]:
-    """A private mpmath context at prec bits, built for the call (rf,
-    factorial and complex powers change a context's precision while they
-    run, so mpmath's global one is never used), and s in it: an int, float
-    or Fraction as an mpf, any other number as an mpc."""
-    ctx = MPContext()
-    ctx.prec = prec
-    if isinstance(s, Fraction):
-        return ctx, ctx.mpf(s.numerator) / ctx.mpf(s.denominator)
-    return ctx, ctx.mpf(s) if isinstance(s, (int, float)) else ctx.mpc(s)
-
-
 # ---------------------------------------------------------------------------
-# zeta at integers
+# depth 1: even zeta(n) and phi
 
 
 def even_zeta_rational(n: int) -> Fraction:
@@ -180,78 +164,6 @@ def even_zeta(n: int, cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
     pi_n = libmp.mpf_pow_int(libmp.mpf_pi(prec, _RND), n, prec, _RND)
     value = libmp.mpf_mul(libmp.mpf_div(num, den, prec, _RND), pi_n, prec, _RND)
     return EvalResult(mp.make_mpf(value), _mag((value, libmp.fzero), prec) * (n + 4) * _eps(prec))
-
-
-# ---------------------------------------------------------------------------
-# Hurwitz zeta by Euler-Maclaurin
-
-
-def hurwitz_zeta(s: Any, a: Fraction = Fraction(1), cfg: EvalConfig = DEFAULT_CONFIG) -> EvalResult:
-    """zeta(s, a) = sum_{j>=0} (j+a)^{-s} for Re(s) > 1, 0 < a <= 1.
-
-    Euler-Maclaurin with the classical remainder control: after the B_{2R}
-    correction term, the error is at most the first omitted term times
-    |s+2R+1|/(Re(s)+2R+1).  The M head terms must stay within
-    _MAX_HEAD_TERMS, or it raises ValueError before the head is summed.
-
-    The rising factorial (s)_(2r-1) of correction r is the previous one
-    times (s+2r-3)(s+2r-2): two additions and two complex products, each
-    within 2 eps relative, so its relative error is at most 8 r eps <= 8 R
-    eps.  With the power and the scaling, term r errs by at most (8 R + 8)
-    eps |term r|; the head's M powers and all the sums add at most
-    (M + R + 8) eps mag.  That is (M + 9 R + 16) eps mag in all, below the
-    8 (M + R) eps mag charged, because M >= 2 R and M >= 32.
-    """
-    a = Fraction(a)
-    if not 0 < a <= 1:
-        raise ValueError(f"need 0 < a <= 1, got {a}")
-    prec = cfg.prec
-    ctx, sv = _in_context(s, prec)
-    sig = float(ctx.re(sv))
-    if sv == 1:
-        raise ValueError("zeta(s, a) has a pole at s = 1")
-    if sig <= 1:
-        raise ValueError(f"Re(s) > 1 required, got {s!r}")
-    av = ctx.mpf(a.numerator) / ctx.mpf(a.denominator)
-    R = max(12, prec // 6)
-    target = max(cfg.target_tol / 8, 4.0 * _eps(prec))
-    M = max(32, 2 * R, int(2 * abs(complex(sv))) + 8)
-    # in mpf: B_{2R+2}, (2R+2)! and the rising factorial leave float
-    # range once 2R+2 >= 171, though the remainder itself is small
-    b_next = bernoulli(2 * R + 2)
-    ratio = abs(ctx.mpf(b_next.numerator) / b_next.denominator) / ctx.factorial(2 * R + 2)
-    ratio *= abs(ctx.rf(sv, 2 * R + 1))
-    while True:
-        if M > _MAX_HEAD_TERMS:
-            raise ValueError(f"Hurwitz zeta at s = {complex(sv)} needs {M} head terms, over the budget of {_MAX_HEAD_TERMS}")
-        x = M + av
-        t_next = ratio * x ** ctx.mpf(-sig - 2 * R - 1)
-        rem = float(t_next * abs(sv + 2 * R + 1) / (sig + 2 * R + 1))
-        if rem <= target:
-            break
-        M *= 2
-    head = sum((j + av) ** (-sv) for j in range(M))
-    mag = sum(float((j + av) ** (-sig)) for j in range(M))
-    tail = x ** (1 - sv) / (sv - 1) + x ** (-sv) / 2
-    mag += float(abs(tail))
-    corr, rf = ctx.mpc(0), sv
-    for r in range(1, R + 1):
-        if r > 1:
-            rf *= (sv + 2 * r - 3) * (sv + 2 * r - 2)
-        b = bernoulli(2 * r)
-        term = (
-            ctx.mpf(b.numerator)
-            / ctx.mpf(b.denominator)
-            / math.factorial(2 * r)
-            * rf
-            * x ** (-sv - 2 * r + 1)
-        )
-        corr += term
-        mag += float(abs(term))
-    value = head + tail + corr
-    roundoff = 8 * (M + R) * _eps(prec) * mag
-    value = mp.make_mpf(value._mpc_[0]) if ctx.im(value) == 0 else mp.make_mpc(value._mpc_)
-    return EvalResult(value, rem + roundoff)
 
 
 def lerch_phi(

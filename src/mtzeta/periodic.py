@@ -9,9 +9,10 @@ q^-s sum_{r=1..q} e(r p/q) zeta(s, M + r/q).  The head is one fixed-point
 pass on ints scaled by 2^F (_phi_head): one libmp power per prime, one
 product per composite.  The q tails are Euler-Maclaurin sums from one
 coefficient table per call (_phi_tails).  Roundoff is counted per term in
-ulps 2^-F, and the remainder control is numerics.hurwitz_zeta's, at the
-worst shift M + 1/q (_phi_terms).  Every step is a libmp call at an explicit
-precision or an int operation; no mpmath context is built.
+ulps 2^-F.  The remainder after the B_2R term is at most the first omitted
+term times |s+2R+1|/(Re s+2R+1), the classical Euler-Maclaurin control,
+taken at the worst shift M + 1/q (_phi_terms).  Every step is a libmp call
+at an explicit precision or an int operation; no mpmath context is built.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ __all__ = ["phi_em"]
 
 
 def _raw_number(s: Any, prec: int) -> tuple:
-    """s as raw (re, im) at prec bits, rounded as numerics._in_context
-    rounds it."""
+    """s as raw (re, im) at prec bits, each part rounded to nearest once:
+    a Fraction or an int exactly as a rational, a float or complex from its
+    doubles, an mpf or mpc as numerics._parts rounds it."""
     if isinstance(s, Fraction):
         return libmp.from_rational(s.numerator, s.denominator, prec, _RND), libmp.fzero
     if isinstance(s, int):
@@ -52,9 +54,9 @@ def _em_remainder(lead: float, sig: float, R: int, x: float) -> float:
 def _phi_terms(s: complex, q: int, prec: int, target_tol: float) -> tuple[int, int, float]:
     """(M, R, lead) of phi_em at s and color denominator q: R corrections,
     lead the log2 of |B_(2R+2)/(2R+2)! (s)_(2R+1)| |s+2R+1|/(Re s+2R+1),
-    and M from numerics.hurwitz_zeta's start, doubled until the remainder
-    at the worst shift x = M + 1/q meets the target.  Raises ValueError
-    once qM passes _MAX_HEAD_TERMS, before any power is computed."""
+    and M from max(32, 2R, 2|s| + 8), doubled until the remainder at the
+    worst shift x = M + 1/q (_em_remainder) meets max(target/8, 4 eps).
+    Raises ValueError once qM passes _MAX_HEAD_TERMS, before any power."""
     R = max(12, prec // 6)
     target = max(target_tol / 8, 4.0 * _eps(prec))
     b = bernoulli(2 * R + 2)
@@ -191,8 +193,8 @@ def phi_em(s: Any, alpha: Fraction, cfg: EvalConfig) -> EvalResult:
     prec = cfg.prec
     sv = _raw_number(s, prec)
     sc = complex(libmp.to_float(sv[0]), libmp.to_float(sv[1]))
-    if sv == (libmp.fone, libmp.fzero):
-        raise ValueError("zeta(s, a) has a pole at s = 1")
+    if sv == (libmp.fone, libmp.fzero) and alpha == 0:
+        raise ValueError("zeta(s) has a pole at s = 1")
     if sc.real <= 1:
         raise ValueError(f"Re(s) > 1 required, got {s!r}")
     q = alpha.denominator

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpc
 
+from _oracles import hurwitz_zeta
 from mtzeta.bernprod import (
     carlitz_product,
     expand_by_partitions,
@@ -23,7 +24,6 @@ from mtzeta.numerics import (
     EvalConfig,
     eval_expr,
     even_zeta,
-    hurwitz_zeta,
     lerch_phi,
     mt_via_mzv,
     mzv_eval,

@@ -202,7 +202,7 @@ def test_character_outputs_match_recorded_digests(capsys):
     # sha256 of the stdout of one verb per --chi route: the assembled
     # L-value, the weighted family and the weighted residual
     recorded = {
-        "eval --s 2 --chi 4,1": "c9e96657cd35d2229ea1c68ee42fed9df2b016826d16e1d4a0f466b70bdaaafd",
+        "eval --s 2 --chi 4,1": "bded1d0f86329f8064b7ce13d87d35b26162fcbf4021a5f92f8ce906b6b42d46",
         "reduce --s 2,2 --chi 3,1": "f227d24ef39929df7ffed13a1c7e48f8a379781fe66b7c76ea1a9f3923a3f147",
         "verify --s 2,2 --chi 5,2 --z 2 --tol 1e-6": "6d6acc84a095fb24025ea89b25b0cb56f9d41f9ebb963fcf25d79bfc662ab009",
     }
@@ -459,9 +459,25 @@ def test_eval_zero_exponent_with_a_convergent_sum():
         rc, out, _ = _run_main(["eval", *argv])
         data = json.loads(out)
         assert rc == 0 and [data[k] for k in ("value_re", "value_im", "bound")] == [want[k] for k in ("value_re", "value_im", "bound")]
-    for argv in (["--s", "0"], ["--s", "1"], ["--s", "0,0"], ["--s", "-1", "--z", "1"], ["--s", "0,0", "--z", "2"]):
+    divergent = (["--s", "0"], ["--s", "1"], ["--s", "0,0"], ["--s", "-1", "--z", "1"], ["--s", "0,0", "--z", "2"], ["--s", "1", "--chi", "4,1"])
+    for argv in divergent:
         rc, out, err = _run_main(["eval", *argv])
         assert (rc, out) == (2, "") and "diverges" in err, argv
+
+
+def test_readme_cli_examples_run():
+    # every mtzeta line of the README's CLI block exits 0, and so do the
+    # exit codes its text documents
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [line.split("#", 1)[0].split()[1:] for line in block.splitlines() if line.startswith("mtzeta ")]
+    assert len(examples) == 9
+    for argv in examples:
+        rc, out, err = _run_main(argv)
+        assert rc == 0 and out, (argv, err)
+    assert "`eval --s 0,3 --z 1.5`" in readme and "such as `inf`" in readme
+    for argv, want in ((["eval", "--s", "0,3", "--z", "1.5"], 2), (["eval", "--s", "2", "--z", "inf"], 1)):
+        assert _run_main(argv)[0] == want, argv
 
 
 def test_eval_zero_head_exponent_is_an_mzv():

@@ -145,7 +145,7 @@ def test_l_value_principal_reduces_to_zeta():
 def test_l_value_depth1_hurwitz_route():
     # assembly equals L(s, chi) = f^{-s} sum_a chi(a) zeta(s, a/f); this is
     # the check that pins the conjugate-weight convention (complex chi)
-    from mtzeta.numerics import hurwitz_zeta
+    from _oracles import hurwitz_zeta
 
     f = 5
     chi = next(

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import libmp, mp
 
+from _oracles import hurwitz_zeta
 from mtzeta.numerics import (
     EvalConfig,
     EvalResult,
     eval_expr,
     even_zeta,
     even_zeta_rational,
-    hurwitz_zeta,
     lerch_phi,
     mt_direct,
     mt_via_mzv,
@@ -592,7 +592,7 @@ _hurwitz = functools.cache(hurwitz_zeta)
 
 def _lerch_hurwitz(s, alpha, cfg=CFG):
     """phi(s, alpha) = q^-s sum_{r=1}^q e(r alpha) zeta(s, r/q) from the
-    public hurwitz_zeta, with the bound lerch_phi gave before integer
+    oracle hurwitz_zeta, with the bound lerch_phi gave before integer
     exponents took the split kernel, kept as the depth-1 oracle."""
     from mtzeta.numerics import _GUARD_BITS, _e_of, _eps
 
@@ -672,14 +672,15 @@ def test_deep_runs_certify_at_working_precision():
 
 def test_integer_depth1_skips_hurwitz(monkeypatch, capsys):
     # colored Lerch values, odd zeta(n) and a character identity at integer
-    # z never reach the Euler-Maclaurin Hurwitz sums
+    # z never reach the Euler-Maclaurin route, periodic.phi_em
     import mtzeta.numerics as num
+    import mtzeta.periodic as periodic
     from mtzeta.cli import main
 
     def refuse(*args, **kwargs):
-        raise AssertionError(f"hurwitz_zeta{args}")
+        raise AssertionError(f"phi_em{args}")
 
-    monkeypatch.setattr(num, "hurwitz_zeta", refuse)
+    monkeypatch.setattr(periodic, "phi_em", refuse)
     num._eval_atom.cache_clear()
     lerch_phi(3, Fraction(1, 7))
     lerch_phi(5, Fraction(0))
@@ -939,6 +940,8 @@ def test_phi_em_bound_sound(point, bits):
 def test_phi_em_work(monkeypatch):
     # one phi at a complex exponent builds no mpmath context and takes one
     # complex power per prime up to qM and one per tail, q of them
+    from mpmath.ctx_mp import MPContext
+
     import mtzeta.numerics as num
     from mtzeta.periodic import _phi_terms
 
@@ -952,7 +955,7 @@ def test_phi_em_work(monkeypatch):
         powers.append(z)
         return mpc_exp(z, prec, *rest)
 
-    monkeypatch.setattr(num, "MPContext", refuse)
+    monkeypatch.setattr(MPContext, "__init__", refuse)
     monkeypatch.setattr(libmp, "mpc_exp", counting)
     s, alpha, cfg = 3.5 + 2j, Fraction(2, 5), num.DEFAULT_CONFIG
     M, _, _ = _phi_terms(s, 5, cfg.precision_bits + num._GUARD_BITS, cfg.target_tol)

@@ -264,6 +264,22 @@ def test_numeric_truth_small_grid():
                 assert abs(complex(r.value)) <= r.bound, (s, alpha, z0)
 
 
+def test_identity_sweep_certifies_small_weights():
+    # every ordered s of weight <= 6 and depth 2-4, each alpha and integer
+    # z: the residual lies inside its bound, and the bound certifies 30
+    # digits at 128 bits.  Weight 6 is the largest whose sweep stays within
+    # 5 s (weight 7, 91 vectors, takes 5-7 s on two shared x86-64 cores)
+    cfg = EvalConfig(precision_bits=128)
+    vectors = [s for k in (2, 3, 4) for s in itertools.product(range(1, 6), repeat=k) if sum(s) <= 6]
+    assert len(vectors) == 50
+    for s in vectors:
+        for alpha in (0, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 6)):
+            ident = cyclic_sum_identity(s, alpha)
+            for z0 in (1, 2, 3):
+                r = ident.residual(z0, cfg)
+                assert abs(complex(r.value)) <= r.bound <= 1e-30, (s, alpha, z0, r.bound)
+
+
 def test_cyclic_sum_identity_input_validation():
     with pytest.raises(ValueError):
         cyclic_sum_identity((3,), 0)
