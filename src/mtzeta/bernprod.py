@@ -107,14 +107,10 @@ def carlitz_product(s1: int, s2: int) -> BernCombo:
     w = s1 + s2
     # B_w first, the largest index: past the limit, refuse before the table grows
     const = -((-1) ** s2) * Fraction(factorial(s1) * factorial(s2), factorial(w)) * bernoulli(w)
-    terms: dict[int, Fraction] = {}
-    for r in range(max(s1, s2) // 2 + 1):
-        b2r = bernoulli(2 * r)
-        if not b2r:
-            continue
-        coeff = Fraction(comb(s1, 2 * r) * s2 + comb(s2, 2 * r) * s1) * b2r / (w - 2 * r)
-        if coeff:
-            terms[w - 2 * r] = terms.get(w - 2 * r, Fraction(0)) + coeff
+    terms = {
+        w - 2 * r: Fraction(comb(s1, 2 * r) * s2 + comb(s2, 2 * r) * s1) * bernoulli(2 * r) / (w - 2 * r)
+        for r in range(max(s1, s2) // 2 + 1)
+    }
     return BernCombo.build(terms, const)
 
 
@@ -130,9 +126,9 @@ def expand_by_subsets(s: Sequence[int]) -> BernCombo:
                  (|s|-|j|+l(i)-t choose s - Inf(j)) * prod B_{j}/j! *
                  s! B_{n}(x) / n!,     n = |s| - |j| + l(i) - t + 1,
 
-    with the multinomial taken over the component differences and defined
-    as 0 when any component is negative.  Slot i allows the 2 + s_i // 2
-    indices j <= 1 or even, so the (subset, j) pairs number at most
+    with the multinomial taken over the differences s_l - 1 (l outside i)
+    and s_l - j_l, all >= 0.  Slot i allows the 2 + s_i // 2 indices j <= 1
+    or even, whose B_j are nonzero, so the (subset, j) pairs number at most
     prod (3 + s_i // 2); past _MAX_SUBSET_PAIRS it raises ValueError
     before the sum starts, as it does when the largest Bernoulli index
     used, the largest even index <= max(s), passes the limit.
@@ -165,71 +161,40 @@ def expand_by_subsets(s: Sequence[int]) -> BernCombo:
                 for j in jvec:
                     bprod *= bernoulli(j)
                     jfact *= factorial(j)
-                if not bprod:
-                    continue
                 inflated = inflate(jvec, positions, t)
-                diff = tuple(a - b for a, b in zip(s, inflated))
-                mult = multinomial(diff)
-                if not mult:
-                    continue
+                mult = multinomial(a - b for a, b in zip(s, inflated))
                 n = w - sum(jvec) + size - t + 1
-                coeff = bprod * mult * s_fact / (jfact * factorial(n))
-                if coeff:
-                    terms[n] = terms.get(n, Fraction(0)) + coeff
+                terms[n] = terms.get(n, Fraction(0)) + bprod * mult * s_fact / (jfact * factorial(n))
     return BernCombo.build(terms, product_integral(s))
 
 
-def _index_weight_factor(part: tuple[int, ...], r: tuple[int, ...]) -> Fraction:
-    """Product over the part's index entries of
+def _part_factor(part: tuple[int, ...], r: tuple[int, ...], closed: bool) -> tuple[Fraction, int]:
+    """The factor of one part with index vector r, and its last partial
+    weight A.  The walk A_1 = part[0], A_{i+1} = A_i + part[i+1] - 2 r_i
+    multiplies in, per index,
 
-        [C(A_i, 2 r_i) * part[i+1] + C(part[i+1], 2 r_i) * A_i] * B_{2 r_i} / A_{i+1}
+        [C(A_i, 2 r_i) * part[i+1] + C(part[i+1], 2 r_i) * A_i] * B_{2 r_i} / A_{i+1};
 
-    where A_i = sigma_i(part) - 2 sigma_{i-1}(r) stays >= 1 for every index
-    vector within bounds.  Empty r gives the empty product 1.
+    a closed part, whose r has len(part) - 2 entries, then closes with
+
+        (-1)^(1+last) * A! * last! / (A+last)! * B_{A+last},   last = part[-1].
+
+    For the pre-fat last part, with len(part) - 1 indices, A is the index m
+    of its B_m(x).  Index vectors within ``index_bound`` have
+    2 r_i <= max(A_i, part[i+1]), so A_{i+1} >= min(A_i, part[i+1]) >= 1 and
+    one of the two binomials is >= 1: each index factor is nonzero, and only
+    an odd closing index A + last > 1 makes the factor 0.
     """
-    out = Fraction(1)
-    for i, ri in enumerate(r, start=1):
-        head = sum(part[:i]) - 2 * sum(r[: i - 1])
-        nxt = part[i]
-        denom = head + nxt - 2 * ri
-        out *= (
-            Fraction(comb(head, 2 * ri) * nxt + comb(nxt, 2 * ri) * head)
-            * bernoulli(2 * ri)
-            / denom
-        )
-        if not out:
-            return out
-    return out
-
-
-def _closing_number(part: tuple[int, ...], r: tuple[int, ...]) -> Fraction:
-    """Closing factor of a part whose index vector has len(part)-2 entries:
-
-        (-1)^(1+last) * (|part|-last-2|r|)! * last! / (|part|-2|r|)! * B_{|part|-2|r|}
-    """
-    last = part[-1]
-    m = sum(part) - 2 * sum(r)
-    sign = -1 if last % 2 == 0 else 1  # (-1)^(1+last)
-    return (
-        sign
-        * Fraction(factorial(m - last) * factorial(last), factorial(m))
-        * bernoulli(m)
-    )
-
-
-def _closed_parts_factor(
-    parts: Sequence[tuple[int, ...]], assignment: Sequence[tuple[int, ...]]
-) -> Fraction:
-    """Product of the index-weight and closing factors over parts that each
-    close with a number; 0 as soon as one factor vanishes."""
-    out = Fraction(1)
-    for part, r in zip(parts, assignment):
-        out *= _index_weight_factor(part, r)
-        if out:
-            out *= _closing_number(part, r)
-        if not out:
-            return out
-    return out
+    factor, a = Fraction(1), part[0]
+    for ri, nxt in zip(r, part[1:]):
+        b = a + nxt - 2 * ri
+        factor *= Fraction(comb(a, 2 * ri) * nxt + comb(nxt, 2 * ri) * a) * bernoulli(2 * ri) / b
+        a = b
+    if closed:
+        last = part[-1]
+        sign = -1 if last % 2 == 0 else 1  # (-1)^(1+last)
+        factor *= sign * Fraction(factorial(a) * factorial(last), factorial(a + last)) * bernoulli(a + last)
+    return factor, a
 
 
 def expand_by_partitions(s: Sequence[int]) -> BernCombo:
@@ -254,18 +219,13 @@ def expand_by_partitions(s: Sequence[int]) -> BernCombo:
 
     for parts in pre_fat:
         for assignment in index_assignments(parts, PartitionKind.PRE_FAT):
-            coeff = _closed_parts_factor(parts[:-1], assignment[:-1])
-            if not coeff:
-                continue
-            last, r_last = parts[-1], assignment[-1]
-            coeff *= _index_weight_factor(last, r_last)
-            if not coeff:
-                continue
-            m = sum(last) if len(last) == 1 else sum(last) - 2 * sum(r_last)
-            terms[m] = terms.get(m, Fraction(0)) + coeff
+            coeff = prod(_part_factor(part, r, True)[0] for part, r in zip(parts[:-1], assignment[:-1]))
+            if coeff:  # 0 only for an odd closing index
+                factor, m = _part_factor(parts[-1], assignment[-1], False)
+                terms[m] = terms.get(m, Fraction(0)) + coeff * factor
 
     for parts in fat:
         for assignment in index_assignments(parts, PartitionKind.FAT):
-            constant += _closed_parts_factor(parts, assignment)
+            constant += prod(_part_factor(part, r, True)[0] for part, r in zip(parts, assignment))
 
     return BernCombo.build(terms, constant)

@@ -1,6 +1,6 @@
-"""Conversion of (colored) Mordell-Tornheim values with positive integer
-exponents into rational-linear combinations of (colored) multiple zeta
-values of the same weight and depth.
+"""Conversion of (colored) Mordell-Tornheim values with integer exponents
+>= 0, at most one head exponent 0, into rational-linear combinations of
+(colored) multiple zeta values of the same weight and depth.
 
 Free variable m_i of MT(s_1, ..., s_k; t) with colors g_1, ..., g_k and
 g_total corresponds to the iterated-integral word x0^(s_i-1) y(g_i), and
@@ -13,7 +13,10 @@ Lisonek, "Special values of multiple polylogarithms", Trans. AMS 2001).
 Reading w = x0^(a_1-1) y(g'_1) ... x0^(a_d-1) y(g'_d) gives the MZV with
 exponents (a_1 + t, a_2, ..., a_d) and colors h_1 = g'_1 + g_total,
 h_j = g'_j - g'_(j-1): the colors are the successive differences of the
-y-letters' colors.
+y-letters' colors.  A zero head exponent s_1 = 0 sums its free index out:
+the total n = m_1 + N' runs over n > N', so its letter comes first, a
+finished slot of exponent 0 that the total makes t, with colors
+h_1 = g_1 + g_total and h_2 = g'_2 - g_1.
 
 Closed two- and three-variable formulas are implemented separately and
 serve as cross-checks for the general rewriting.
@@ -136,14 +139,16 @@ def mt_to_mzv(
 
     A shuffled word whose y-letters carry colors g'_1..g'_d gives the MZV
     with colors h_1 = g'_1 + g_total and h_j = g'_j - g'_(j-1); the total
-    exponent is added to its first slot.
+    exponent is added to its first slot, which is a zero head's.
     """
     exps = tuple(exps)
-    if any(not isinstance(e, int) or e < 1 for e in exps):
-        raise ValueError(f"exponents must be positive integers, got {exps}")
+    if any(not isinstance(e, int) or e < 0 for e in exps):
+        raise ValueError(f"exponents must be integers >= 0, got {exps}")
+    if exps[:-1].count(0) > 1:
+        raise ValueError(f"at most one head exponent may be 0, got {exps}")
     check_mt_convergence(exps)
     atom = mt_value(exps, (0,) * len(exps) if colors is None else colors)
-    if not isinstance(atom, MTValue):  # one or two slots: phi
+    if not isinstance(atom, MTValue):  # phi, or MT(0, b; t) = zeta(t, b)
         return Expr.atom(atom)
     exps, cols = atom.exps, atom.colors
 
@@ -154,10 +159,11 @@ def mt_to_mzv(
         raise ValueError(f"rewriting needs {weight - exps[-1]} layers, over its budget of {_MAX_STEPS} key entries")
     # Colors travel as indices into `palette`, since small ints hash fast.
     palette = sorted(set(cols[:-1]))
-    start = tuple(sorted((e - 1, palette.index(g)) for e, g in zip(exps, cols[:-1])))
+    zero = exps[0] == 0  # the canonical order puts a zero head first
+    start = tuple(sorted((e - 1, palette.index(g)) for e, g in zip(exps[zero:], cols[zero:-1])))
     # (unfinished suffixes, finished slots (exponent, color), x0 letters
     # written since the last y) -> coefficient
-    layer: dict[tuple, int] = {(start, (), 0): 1}
+    layer: dict[tuple, int] = {(start, ((0, palette.index(cols[0])),) if zero else (), 0): 1}
     steps = 0
     for _ in range(weight - exps[-1]):
         nxt: dict[tuple, int] = {}

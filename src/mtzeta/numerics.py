@@ -21,7 +21,7 @@ Evaluation routes:
   integral at 1/p into products of geometrically convergent nested sums,
   in fixed point on ints scaled by 2^F: roundoff is a count of ulps 2^-F;
 * MT values either through the exact rewriting into MZVs (integer
-  exponents) or, at depth >= 2 with a non-integer slot, by direct
+  exponents >= 0, at most one head 0) or else, at depth >= 2, by direct
   truncated summation (mt_direct, the one route that loads numpy, on
   first use) as one-dimensional float64 convolutions over the totals.
 
@@ -621,12 +621,14 @@ def _conjugate_twin(a: Atom) -> Atom | None:
 
 def _route(a: Atom) -> str:
     """lerch at depth 1 (phi, even zeta(n) included), split for a deeper
-    MZV, conversion for MT int exponents >= 1, else direct."""
+    MZV, conversion for MT int exponents >= 0 with at most one head
+    exponent 0, else direct."""
     if len(a.exps) == 1:
         return "lerch"
     if isinstance(a, MZValue):
         return "split"
-    return "conversion" if all(isinstance(e, int) and e >= 1 for e in a.exps) else "direct"
+    ints = all(isinstance(e, int) and e >= 0 for e in a.exps)
+    return "conversion" if ints and a.exps[:-1].count(0) <= 1 else "direct"
 
 
 # 4,096 entries: one colored-characters case list (seed 7) fills 715, one

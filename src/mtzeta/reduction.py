@@ -123,16 +123,14 @@ def _part_factor(
     """The int factor and the atoms of one part with index vector r:
     [C(top, s-1) + C(top, s-2r)] zeta(2r) per index, then, for a part that
     closes with a number, the parity-filtered zeta(m) and the sign of the
-    part's last exponent.  The factor is 0 as soon as one vanishes, odd m
-    included."""
+    part's last exponent.  Only an odd m makes the factor 0: top is
+    A_{i+1} - 1 of ``bernprod._part_factor``, so one binomial is >= 1."""
     c, atoms = 1, []
     for n_i, rv in enumerate(r, start=1):
         # partial sum of r through rv itself: the coefficient
         # index runs one ahead of the raw expansion's
         top = sum(part[: n_i + 1]) - 2 * sum(r[:n_i]) - 1
         c *= binomial(top, part[n_i] - 1) + binomial(top, part[n_i] - 2 * rv)
-        if not c:
-            return 0, atoms
         atoms.append(EvenZeta(2 * rv))
     if closed:
         m = sum(part) - 2 * sum(r)

@@ -495,9 +495,26 @@ def test_eval_zero_head_exponent_is_an_mzv():
         with mp.workprec(256):
             got = mp.mpc(mpf(data["value_re"]), mpf(data["value_im"]))
             assert abs(got - want.value) <= want.bound + 1e-25  # 25 printed digits
-    # next to a non-integer slot the zero head keeps the direct route
-    rc, out, _ = _run_main(["eval", "--s", "0,2", "--z", "3.5"])
-    assert rc == 0 and json.loads(out)["route"] == "direct"
+    # at depth 3, MT(0, 2, 1; 3) = 2 zeta(3, 2, 1) + zeta(3, 1, 2) converts,
+    # and so does a zero total: MT(2, 2; 0) = zeta(2)^2
+    for extra, alpha in (([], 0), (["--alpha", "1/3"], Fraction(1, 3))):
+        rc, out, err = _run_main(["eval", "--s", "0,2,1", "--z", "3", *extra])
+        data = json.loads(out)
+        assert (rc, err, data["route"]) == (0, "", "conversion") and data["bound"] < 1e-70
+        a, b = (mzv_eval(e, (alpha, 0, 0), EvalConfig()) for e in ((3, 2, 1), (3, 1, 2)))
+        with mp.workprec(256):
+            got = mp.mpc(mpf(data["value_re"]), mpf(data["value_im"]))
+            assert abs(got - 2 * a.value - b.value) <= 2 * a.bound + b.bound + 1e-25
+    rc, out, err = _run_main(["eval", "--s", "2,2,0"])
+    data = json.loads(out)
+    assert (rc, err, data["route"], data["value_re"]) == (0, "", "conversion", "2.705808084277845478790009")
+    # next to a non-integer slot, beside a second zero head or a negative
+    # exponent the zero head keeps the direct route
+    for argv in (["0,2", "--z", "3.5"], ["0,0,3", "--z", "6"], ["-1,5", "--z", "6"]):
+        rc, out, _ = _run_main(["eval", "--s", *argv])
+        assert rc == 0 and json.loads(out)["route"] == "direct", argv
+    rc, _, err = _run_main(["convert", "--s", "0,0,3,6"])
+    assert rc == 2 and "at most one head exponent may be 0" in err
 
 
 def test_eval_and_verify_share_one_evaluation(monkeypatch, capsys):

@@ -146,6 +146,12 @@ def _mzv_coefficients(atom, top):
         ((2,) * 6, (0, Fraction(1, 2), 0, 0, Fraction(1, 2), 0)),
         # the case above has no odd-N terms; here the total slot's color shows
         ((2, 1, 3, 1, 2), (Fraction(1, 2), 0, 0, Fraction(1, 2), Fraction(1, 2))),
+        # a zero head exponent, at any slot, and a zero total
+        ((0, 2, 1, 3), (0,) * 4),
+        ((1, 0, 1, 2), (Fraction(1, 2), 0, 0, Fraction(1, 2))),
+        ((2, 1, 0, 2, 2), (0, Fraction(1, 2), Fraction(1, 2), 0, Fraction(1, 2))),
+        ((2, 3, 0), (Fraction(1, 2), 0, 0)),
+        ((2, 2, 3, 0), (Fraction(1, 2), 0, Fraction(1, 2), Fraction(1, 2))),
     ],
 )
 def test_general_matches_truncated_sums(exps, colors):

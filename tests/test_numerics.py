@@ -13,6 +13,7 @@ from _oracles import hurwitz_zeta
 from mtzeta.numerics import (
     EvalConfig,
     EvalResult,
+    _assemble,
     eval_expr,
     even_zeta,
     even_zeta_rational,
@@ -78,6 +79,12 @@ def test_lerch_examples():
     with mp.workprec(300):
         assert_close(lerch_phi(2, Fraction(0)), mp.pi**2 / 6, 1e-70)
         assert_close(lerch_phi(2, Fraction(1, 2)), -(mp.pi**2) / 12, 1e-70)
+    # outside Re(s) > 1 the public entry refuses, the pole by name
+    with pytest.raises(ValueError, match="pole at s = 1"):
+        lerch_phi(1, Fraction(0))
+    for s, alpha in ((1, Fraction(1, 3)), (0.5, Fraction(0)), (1 + 2j, Fraction(1, 4))):
+        with pytest.raises(ValueError, match=r"Re\(s\) > 1 required"):
+            lerch_phi(s, alpha)
 
 
 def test_lerch_alternating_direct():
@@ -258,6 +265,37 @@ def test_eval_expr_basics():
         assert_close(r, -(mp.pi**2) / 12, 1e-70)
     assert eval_expr(Expr()).value == 0
     assert eval_expr(Expr()).bound == 0
+
+
+def _rounded(x: Fraction, prec: int):
+    return mp.make_mpf(libmp.from_rational(x.numerator, x.denominator, prec, libmp.round_nearest))
+
+
+def _exact(v) -> Fraction:
+    return Fraction(*libmp.to_rational(v._mpf_))
+
+
+_small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: _assemble charges no product's, coefficient's or partial sum's rounding")
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.lists(st.tuples(_small_fractions, st.lists(_small_fractions, max_size=3)), min_size=1, max_size=4))
+def test_assemble_bound_sound_under_cancellation(terms):
+    # each term c * prod(f), its factors f rounded at the working precision
+    # and so exact with bound 0, is cancelled by -1 * v, v = c * prod(f)
+    # rounded: the value lies within its bound of the exact sum.  Today
+    # (1/3) * 1 - 1 * v, v = 1/3 at 272 bits, gives 0 with bound 0.0
+    prec = CFG.prec
+    args, want = [], Fraction(0)
+    for c, fs in terms:
+        vs = [_rounded(f, prec) for f in fs]
+        p = c * math.prod(_exact(v) for v in vs)
+        w = _rounded(p, prec)
+        args += [(c, [EvalResult(v, 0.0) for v in vs]), (Fraction(-1), [EvalResult(w, 0.0)])]
+        want += p - _exact(w)
+    got = _assemble(args, prec)
+    assert abs(_exact(got.value) - want) <= Fraction(got.bound), (terms, got)
 
 
 def test_eval_expr_with_z():

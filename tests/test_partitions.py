@@ -1,4 +1,5 @@
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
@@ -107,6 +108,24 @@ def test_assignments_unique_and_within_bounds():
                 for part, r in zip(parts, a):
                     for i, ri in enumerate(r, start=1):
                         assert 0 <= ri <= index_bound(part, r[: i - 1], i)
+
+
+def test_partial_weights_stay_positive():
+    # bernprod._part_factor's invariant: every index vector within
+    # index_bound keeps each partial weight A_{i+1} = A_i + part[i+1] - 2 r_i
+    # >= 1, with C(A_i, 2 r_i) or C(part[i+1], 2 r_i) >= 1, so no index
+    # factor of a part vanishes
+    for t in range(1, 6):
+        for s in itertools.product(range(1, 5), repeat=t):
+            for kind in PartitionKind:
+                for parts in enumerate_partitions(s, kind):
+                    for assignment in index_assignments(parts, kind):
+                        for part, r in zip(parts, assignment):
+                            a = part[0]
+                            for ri, nxt in zip(r, part[1:]):
+                                assert comb(a, 2 * ri) or comb(nxt, 2 * ri), (s, parts, assignment)
+                                a += nxt - 2 * ri
+                                assert a >= 1, (s, parts, assignment)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=6))
